@@ -2,7 +2,7 @@
 
 Core pieces: discrete calculus on undirected graphs, the potential-
 weighted Laplacian with its advection/diffusion split and heat flow, a
-deterministic dense symmetric eigensolver, Chebyshev polynomial filters,
+dense symmetric eigensolver, Chebyshev polynomial filters,
 a small reverse-mode autodiff engine, spectral GNNs that learn the
 potential end to end, synthetic long-range tasks with exact oracles, and
 the ``be-spectral`` experiment CLI.

@@ -15,8 +15,13 @@ whose adjoint scatters half the upstream gradient to both endpoints),
 into a dense matrix, and an edge-based sparse matvec.
 
 Tapes are single-threaded and meant to live for one training step.
+A tensor refers to its tape only weakly, so a finished step (tape,
+tensors and arrays) is freed by reference counting as soon as the caller
+drops it, without waiting for the cyclic garbage collector.
 """
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -38,6 +43,7 @@ class Tape:
     def __init__(self):
         self._nodes: list[Tensor] = []
         self._leaves: list[Tensor] = []
+        self._ref = weakref.ref(self)  # shared by every tensor recorded here
 
     def leaf(self, data, name: str | None = None, trainable: bool = True) -> "Tensor":
         t = Tensor(np.asarray(data, dtype=np.float64), tape=self,
@@ -53,16 +59,21 @@ class Tape:
 class Tensor:
     """Immutable array value, optionally attached to a tape."""
 
-    __slots__ = ("data", "tape", "parents", "vjp", "requires_grad", "name")
+    __slots__ = ("data", "_tape", "parents", "vjp", "requires_grad", "name")
 
     def __init__(self, data, tape=None, parents=(), vjp=None,
                  requires_grad=False, name=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.tape = tape
+        self._tape = None if tape is None else tape._ref
         self.parents = parents
         self.vjp = vjp
         self.requires_grad = requires_grad
         self.name = name
+
+    @property
+    def tape(self) -> Tape | None:
+        """The tape this tensor was recorded on; None once that tape is freed."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self):
@@ -96,9 +107,11 @@ def _as_tensor(x) -> Tensor:
 def _record(parents, data, vjp) -> Tensor:
     if not any(p.requires_grad for p in parents):
         return Tensor(data)  # constant folding: nothing upstream to reach
-    tapes = {p.tape for p in parents if p.tape is not None}
+    tapes = {p.tape for p in parents} - {None}
     if len(tapes) > 1:
         raise ValueError("operands were recorded on different tapes")
+    if not tapes:
+        return Tensor(data)  # the tape was freed: no backward pass can reach it
     tape = tapes.pop()
     t = Tensor(data, tape=tape, parents=tuple(parents), vjp=vjp, requires_grad=True)
     tape._nodes.append(t)

@@ -106,7 +106,7 @@ def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
 
     ``kind`` selects the raw operator or its symmetric normalization. When
     the filter carries no lambda_max, the spectral radius is estimated by
-    power iteration and padded by :data:`LAMBDA_MAX_SLACK`.
+    Lanczos iteration and padded by :data:`LAMBDA_MAX_SLACK`.
     """
     if kind == "unnormalized":
         op = be.operator()

@@ -21,14 +21,18 @@ differentiation (no gradient flows through it).
 """
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field, asdict
 from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
+from .chebyshev import LAMBDA_MAX_SLACK
 from .errors import IsolatedNodeUnderMu
 from .graphs import Graph
+
+log = logging.getLogger(__name__)
 
 MU_EPS_FLOOR = 1e-4
 
@@ -155,6 +159,9 @@ def _batched_lambda_max(mats: np.ndarray, iters: int = 200, tol: float = 1e-9) -
         nw = np.linalg.norm(w, axis=1, keepdims=True)
         nw[nw == 0.0] = 1.0
         v = w / nw
+    else:
+        log.warning("batched power iteration did not converge in %d iterations "
+                    "(batch=%d, n=%d)", iters, b, n)
     return np.maximum(lam, 1e-12)
 
 
@@ -235,7 +242,7 @@ class MuChebNet:
             return -(r[:, None] * ctx.adjacency * r[None, :])  # L_sym - I
         lap = np.diag(ctx.degrees) - ctx.adjacency
         if lambda_max is None:
-            lambda_max = 1.01 * _batched_lambda_max(lap[None])[0]
+            lambda_max = LAMBDA_MAX_SLACK * _batched_lambda_max(lap[None])[0]
         return 2.0 / float(lambda_max) * lap - np.eye(ctx.n)
 
     def _mu_operator(self, ctx: GraphContext, mu: ad.Tensor, lambda_max):
@@ -253,7 +260,7 @@ class MuChebNet:
             return ad.neg(a_norm)  # (L_sym scaled by lambda_max = 2) = L_sym - I
         l_mu = ad.diag_embed(d_mu) - a_mu
         if lambda_max is None:
-            lam = 1.01 * _batched_lambda_max(l_mu.data)         # stop-gradient
+            lam = LAMBDA_MAX_SLACK * _batched_lambda_max(l_mu.data)  # stop-gradient
         else:
             lam = np.broadcast_to(np.asarray(lambda_max, dtype=np.float64), (b,))
         scale = ad.constant((2.0 / lam)[:, None, None])

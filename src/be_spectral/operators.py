@@ -3,7 +3,7 @@
 Operators up to ``DENSE_LIMIT`` nodes are materialized as dense float64
 matrices (dense eigensolvers need them anyway at desk scale). Larger
 operators keep only the symmetric edge-list form and support matvec and
-power iteration.
+Lanczos spectral-radius estimation.
 """
 from __future__ import annotations
 

@@ -8,9 +8,11 @@ learned potentials are dumped as CSV for external plotting.
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -212,9 +214,30 @@ def _mu_contrast(mu, instances) -> dict:
 
 # --- the training loop ---
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # mallopt parameters, glibc malloc.h
+
+
+def _keep_freed_memory() -> None:
+    """Keep freed heap pages in the process for the next step (Linux only).
+
+    Each train step and evaluation allocates tens of MB of arrays and frees
+    them when its tape is dropped. With glibc's default thresholds those
+    pages go back to the OS and fault in again on the next step: on the
+    barbell benchmark config about 11k minor faults and 44% longer epochs.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest value glibc accepts
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
     """Train one seed; returns the run record (and writes it when outdir set)."""
     t0 = time.time()
+    _keep_freed_memory()
     data = build_dataset(config.task)
     mcfg = ModelConfig.from_dict(config.model)
     mcfg.out_dim = data.out_dim

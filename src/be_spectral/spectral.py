@@ -1,9 +1,11 @@
 """Dense symmetric eigendecomposition and Rayleigh-quotient machinery.
 
-The eigensolver is implemented in-repo (Householder tridiagonalization
-followed by implicit-shift QL with accumulated rotations) so results are
-bit-stable across runs on a fixed platform: no randomized pivoting, no
-dependence on whichever LAPACK happens to be linked.
+The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``) with
+a fixed sign convention on the eigenvectors. Results are bit-stable across
+runs for a given platform, LAPACK build and BLAS thread count; they may
+differ in the last bits between machines or thread counts. The spectral
+radius of operators too large to densify comes from a short Lanczos run
+(:func:`lambda_max_power`).
 
 On top of it sit the Rayleigh quotient, the per-node variation profile
 (squared local variation normalized to a probability distribution), the
@@ -23,94 +25,16 @@ from .operators import DENSE_LIMIT, SymOperator
 
 log = logging.getLogger(__name__)
 
-_EPS = np.finfo(np.float64).eps
-
-
-# --- tridiagonal reduction + QL ---
-
-def _tridiagonalize(a: np.ndarray):
-    """Householder reduction Q^T A Q = T; returns (diag, subdiag, Q)."""
-    a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
-    q = np.eye(n)
-    for k in range(n - 2):
-        x = a[k + 1:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        alpha = -np.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-        v = x.copy()
-        v[0] -= alpha
-        vnorm = np.linalg.norm(v)
-        if vnorm <= _EPS * norm_x:
-            continue
-        v /= vnorm
-        # similarity transform by P = I - 2 v v^T on the trailing block
-        a[k + 1:, :] -= 2.0 * np.outer(v, v @ a[k + 1:, :])
-        a[:, k + 1:] -= 2.0 * np.outer(a[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy() if n > 1 else np.empty(0)
-    return d, e, q
-
-
-def _ql_implicit_shift(d: np.ndarray, e: np.ndarray, q: np.ndarray, max_sweeps: int = 60):
-    """Implicit-shift QL on a symmetric tridiagonal (d, e), rotating q along.
-
-    ``e[i]`` couples d[i] and d[i+1]. Mutates and returns (d, q).
-    """
-    n = d.size
-    e = np.concatenate([e, [0.0]])
-    for l in range(n):
-        for sweep in range(max_sweeps + 1):
-            m = l
-            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if sweep == max_sweeps:
-                raise ArithmeticError("QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = np.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + np.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = np.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                qi = q[:, i].copy()
-                q[:, i] = c * qi - s * q[:, i + 1]
-                q[:, i + 1] = s * qi + c * q[:, i + 1]
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return d, q
+#: Lanczos keeps at most this many basis vectors, then restarts from the
+#: top Ritz vector, so its memory is bounded whatever the iteration cap
+LANCZOS_RESTART = 100
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column positive."""
-    n = u.shape[0]
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        thresh = 1e-12 * np.abs(col).max()
-        idx = np.nonzero(np.abs(col) > thresh)[0]
-        lead = idx[0] if idx.size else 0
-        if col[lead] < 0.0:
-            u[:, k] = -col
+    mag = np.abs(u)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0, initial=0.0), axis=0)
+    u *= np.where(u[lead, np.arange(u.shape[1])] < 0.0, -1.0, 1.0)
     return u
 
 
@@ -125,8 +49,9 @@ class SpectralDecomposition:
 def eig_sym(op) -> SpectralDecomposition:
     """Full eigendecomposition of a symmetric operator (dense, n <= 4096).
 
-    Deterministic: fixed reduction/iteration order, eigenvector signs
-    normalized so the first non-negligible component is positive.
+    Deterministic for fixed input bits, platform and BLAS thread count;
+    eigenvector signs are normalized so the first non-negligible component
+    is positive.
     """
     if isinstance(op, SymOperator):
         mat = op.dense()
@@ -135,47 +60,61 @@ def eig_sym(op) -> SpectralDecomposition:
     n = mat.shape[0]
     if n > DENSE_LIMIT:
         raise ValueError(f"n={n} exceeds the dense eigensolver limit {DENSE_LIMIT}")
-    if n == 1:
-        vals = np.array([mat[0, 0]])
-        vecs = np.ones((1, 1))
-    else:
-        d, e, q = _tridiagonalize(mat)
-        d, q = _ql_implicit_shift(d, e, q)
-        order = np.argsort(d, kind="stable")
-        vals = d[order]
-        vecs = _fix_signs(q[:, order])
+    vals, vecs = np.linalg.eigh(mat)
+    vecs = _fix_signs(vecs) if n else vecs
     vals.setflags(write=False)
     vecs.setflags(write=False)
     return SpectralDecomposition(eigenvalues=vals, eigenvectors=vecs)
 
 
 def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a PSD operator by power iteration.
+    """Largest eigenvalue of a symmetric operator by Lanczos iteration.
 
-    Converged when the eigen-residual drops below tol * lambda. On
-    non-convergence a warning is logged and, below n = 512 with dense
-    storage, the dense eigensolver supplies the value instead.
+    Starts from a fixed seeded vector and reorthogonalizes every new basis
+    vector against the whole basis. Converged when the top Ritz pair's
+    residual |beta_k s_k| is at most tol * theta; ``iters`` caps the
+    matvecs. After :data:`LANCZOS_RESTART` steps the basis restarts from
+    the top Ritz vector. On non-convergence a warning is logged and, below
+    n = 512 with dense storage, the dense eigensolver supplies the value
+    instead.
     """
     n = op.n
     if n == 0:
         return 0.0
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    basis = np.empty((0, n))
+    alphas, betas = [], []
+    theta = 0.0
     for _ in range(iters):
+        k = len(alphas)
+        if k == 0:
+            v /= np.linalg.norm(v)
+        if k == basis.shape[0]:  # grow with the steps taken, up to the cap
+            grown = np.empty((min(max(2 * k, 8), LANCZOS_RESTART), n))
+            grown[:k] = basis
+            basis = grown
+        basis[k] = v
         w = op.matvec(v)
-        lam = float(v @ w)
-        if np.linalg.norm(w - lam * v) <= tol * max(abs(lam), 1e-300):
-            return lam
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0  # v in the kernel of a PSD operator that annihilates it
-        v = w / nw
-    log.warning("power iteration did not converge in %d iterations (n=%d)", iters, n)
+        alphas.append(float(v @ w))
+        q = basis[:k + 1]
+        for _ in range(2):  # full reorthogonalization; twice is enough
+            w -= q.T @ (q @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        theta = float(ritz[-1])
+        if abs(beta * s[-1, -1]) <= tol * max(abs(theta), 1e-300):
+            return theta
+        if k + 1 == LANCZOS_RESTART:
+            v = q.T @ s[:, -1]
+            alphas, betas = [], []
+        else:
+            v = w / beta
+            betas.append(beta)
+    log.warning("Lanczos iteration did not converge in %d matvecs (n=%d)", iters, n)
     if n < 512 and op.is_dense:
         return float(eig_sym(op).eigenvalues[-1])
-    return lam
+    return theta
 
 
 def rayleigh(op: SymOperator, f: np.ndarray) -> float:

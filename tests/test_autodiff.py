@@ -198,6 +198,17 @@ class TestTapeSemantics:
         with pytest.raises(ValueError, match="different tapes"):
             _ = a + b
 
+    def test_values_outlive_their_tape(self):
+        # tensors hold their tape weakly; once it is freed they still compute
+        # values, as constants, since no backward pass can reach them
+        tape = ad.Tape()
+        x = tape.leaf(np.array([1.0, 2.0]), name="x")
+        y = x * 3.0
+        del tape, x
+        assert y.tape is None
+        z = ad.tsum(y * y)
+        assert z.tape is None and float(z.data) == 45.0
+
     def test_constants_are_not_recorded(self):
         tape = ad.Tape()
         x = tape.leaf(np.ones(3), name="x")

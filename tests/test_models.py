@@ -170,6 +170,17 @@ class TestLambdaMaxHandling:
         for k in g1:
             npt.assert_array_equal(g1[k], g2[k])
 
+    def test_batched_nonconvergence_is_logged(self, caplog):
+        mats = np.stack([np.diag([1.0, 0.99, 0.5]), np.eye(3)])
+        with caplog.at_level("WARNING", logger="be_spectral.models"):
+            lam = _batched_lambda_max(mats, iters=3)
+        assert any("did not converge" in r.message for r in caplog.records)
+        assert 0.5 < lam[0] < 1.0 and lam[1] == 1.0  # stopped short, still returned
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="be_spectral.models"):
+            _batched_lambda_max(np.eye(3)[None])
+        assert not caplog.records
+
     def test_no_leaf_for_lambda_max(self):
         g = ring_graph(8)
         model = small_model(operator="unnorm")

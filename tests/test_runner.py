@@ -1,10 +1,13 @@
 """Dataset assembly, training loop behavior, reproducibility."""
+import gc
 import json
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from be_spectral import runner
 from be_spectral.runner import (RunConfig, build_dataset, evaluate,
                                 grid_search, train_multi, train_run)
 from be_spectral.models import ModelConfig, MuChebNet
@@ -117,6 +120,29 @@ class TestTrainRun:
         cfg.model = {"layers": 1, "K": 3, "hidden": 4, "mu": None}
         rec = train_run(cfg, seed=0)
         assert "nmse" in rec["test"]
+
+
+    def test_steps_freed_without_cyclic_collector(self, monkeypatch):
+        # tensors refer to their tape weakly, so every train step and every
+        # evaluate frees its tape and arrays by reference counting alone
+        refs = []
+
+        def batch_loss(model, data, instances, tape, _orig=runner._batch_loss):
+            out = _orig(model, data, instances, tape)
+            refs.append((weakref.ref(tape), weakref.ref(out[0].data)))
+            return out
+
+        monkeypatch.setattr(runner, "_batch_loss", batch_loss)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_run(tiny_barbell_config(epochs=2), seed=0)
+            alive = [r for pair in refs for r in pair if r() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) == 6  # two steps and two evals, then final val and test
+        assert not alive
 
 
 class TestTrainMulti:

@@ -1,7 +1,12 @@
 """Eigensolver, Rayleigh machinery, variation profiles, star-graph bounds.
 
-numpy.linalg.eigh acts as the independent oracle for the in-repo solver.
+``eig_sym`` wraps LAPACK, so the oracle tests below check its contract
+(ascending order, sign convention, orthonormality, residuals) against
+numpy.linalg.eigvalsh rather than an independent algorithm. The Lanczos
+spectral radius is checked against eigvalsh of the densified operator.
 """
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,6 +16,7 @@ from be_spectral import (SymOperator, build_be, eig_sym, lambda_max_power,
                          ring_graph, star_graph, star_spectral_check,
                          variation_profile, four_ring_showcase)
 from be_spectral.errors import ZeroSignal
+from be_spectral.operators import DENSE_LIMIT
 from be_spectral.verify import random_graph
 
 
@@ -80,9 +86,42 @@ class TestEigSym:
             eig_sym(big)
 
 
+@pytest.fixture(scope="module")
+def large_edge_operator():
+    """Edge-list L_mu above DENSE_LIMIT (a ring plus 2n random pairs, mu
+    uniform in [0.1, 2]) and the top eigenvalue of its densified matrix."""
+    n = DENSE_LIMIT + 4
+    rng = np.random.default_rng(3)
+    ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
+    extra = rng.integers(0, n, size=(2 * n, 2))
+    pairs = np.concatenate([ring, extra[extra[:, 0] != extra[:, 1]]])
+    edges = np.unique(np.sort(pairs, axis=1), axis=0)
+    mu = rng.uniform(0.1, 2.0, n)
+    w = 0.5 * (mu[edges[:, 0]] + mu[edges[:, 1]])
+    m = np.zeros((n, n))
+    m[edges[:, 0], edges[:, 1]] = m[edges[:, 1], edges[:, 0]] = -w
+    d = -m.sum(axis=1)
+    m[np.arange(n), np.arange(n)] = d
+    return SymOperator.from_edges(n, edges, -w, d), float(np.linalg.eigvalsh(m)[-1])
+
+
+def count_matvecs(monkeypatch):
+    calls = []
+    orig = SymOperator.matvec
+
+    def matvec(self, x):
+        calls.append(1)
+        return orig(self, x)
+
+    monkeypatch.setattr(SymOperator, "matvec", matvec)
+    return calls
+
+
 class TestLambdaMaxPower:
-    def test_identity(self):
+    def test_identity(self, monkeypatch):
+        calls = count_matvecs(monkeypatch)
         assert abs(lambda_max_power(SymOperator.from_dense(np.eye(7))) - 1.0) < 1e-12
+        assert len(calls) == 1
 
     def test_four_ring(self):
         assert abs(lambda_max_power(laplacian(ring_graph(4)), tol=1e-10) - 4.0) < 1e-6
@@ -102,6 +141,36 @@ class TestLambdaMaxPower:
             lam = lambda_max_power(op, iters=1, tol=1e-16)
         assert abs(lam - 1.0) < 1e-12  # dense fallback kicked in
         assert any("did not converge" in r.message for r in caplog.records)
+
+    def test_edge_list_operator_matches_lapack(self, large_edge_operator, monkeypatch):
+        op, lam_true = large_edge_operator
+        assert not op.is_dense
+        calls = count_matvecs(monkeypatch)
+        lam = lambda_max_power(op, iters=5000, tol=1e-12)
+        assert abs(lam - lam_true) <= 1e-9 * lam_true
+        # power iteration needed 383 matvecs on this operator
+        assert len(calls) <= 80
+
+    def test_memory_bounded_without_convergence(self, caplog):
+        # the path graph's top eigenvalues are packed (relative gap ~1e-7), so
+        # the run exhausts its matvec cap; the basis must stay at the restart cap
+        n, iters = DENSE_LIMIT + 4, 2000
+        i = np.arange(n - 1)
+        deg = np.full(n, 2.0)
+        deg[[0, -1]] = 1.0
+        op = SymOperator.from_edges(n, np.stack([i, i + 1], axis=1),
+                                    -np.ones(n - 1), deg)
+        tracemalloc.start()
+        try:
+            with caplog.at_level("WARNING", logger="be_spectral.spectral"):
+                lam = lambda_max_power(op, iters=iters, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert any("did not converge" in r.message for r in caplog.records)
+        assert peak < 0.15 * iters * n * 8
+        lam_true = 2.0 - 2.0 * np.cos(np.pi * (n - 1) / n)
+        assert 0.999 * lam_true <= lam <= lam_true * (1 + 1e-12)
 
 
 class TestVariationProfile:
