@@ -128,7 +128,7 @@ def normalized_be(be: BEOperator, kind: str = "symmetric"):
     """Degree-normalized weighted Laplacian.
 
     ``symmetric`` returns D_mu^{-1/2} L_mu D_mu^{-1/2} (spectrum in [0, 2])
-    as a :class:`SymOperator`; ``random-walk`` returns the dense
+    as an edge-list :class:`SymOperator`; ``random-walk`` returns the dense
     D_mu^{-1} L_mu, which is similar to the symmetric form but not itself
     symmetric. Raises :class:`IsolatedNodeUnderMu` when a weighted degree
     vanishes — floor the potential first.
@@ -138,13 +138,15 @@ def normalized_be(be: BEOperator, kind: str = "symmetric"):
         raise IsolatedNodeUnderMu(
             f"weighted degree of node {i} is zero; apply floor_potential first"
         )
-    l_mu = be.matrix()
     if kind == "symmetric":
         r = 1.0 / np.sqrt(be.degrees)
-        m = r[:, None] * l_mu * r[None, :]
-        return SymOperator.from_dense(0.5 * (m + m.T), sym_tol=1e-9)
+        e = be.graph.edges
+        return SymOperator.from_edges(
+            be.graph.n, e, -be.edge_weights * (r[e[:, 0]] * r[e[:, 1]]),
+            be.degrees * (r * r),
+        )
     if kind == "random-walk":
-        return l_mu / be.degrees[:, None]
+        return be.matrix() / be.degrees[:, None]
     raise ValueError(f"unknown normalization {kind!r}")
 
 
@@ -154,9 +156,12 @@ def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral"
 
     ``spectral`` uses the eigendecomposition (exact up to solver accuracy);
     ``euler`` takes explicit steps of size ``dt``, which must satisfy
-    dt < 2 / lambda_max(L_mu). Total mass sum(f) is conserved by both.
+    dt < 2 / lambda_max(L_mu); lambda_max is the Lanczos estimate padded by
+    ``LAMBDA_MAX_SLACK``, because a Ritz value never overestimates. Total
+    mass sum(f) is conserved by both.
     """
-    from .spectral import eig_sym
+    from .chebyshev import LAMBDA_MAX_SLACK
+    from .spectral import eig_sym, lambda_max_power
 
     f0 = _check_node_signal(be.graph, f0)
     if t < 0.0:
@@ -171,12 +176,12 @@ def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral"
     if scheme == "euler":
         if dt is None or dt <= 0.0:
             raise ValueError("euler scheme needs a positive dt")
-        lam_max = float(eig_sym(be.operator()).eigenvalues[-1])
+        op = be.operator()
+        lam_max = LAMBDA_MAX_SLACK * lambda_max_power(op)
         if lam_max > 0.0 and dt >= 2.0 / lam_max:
             raise UnstableStep(
                 f"dt = {dt} violates dt < 2/lambda_max = {2.0 / lam_max:.6g}"
             )
-        op = be.operator()
         f = f0.copy()
         steps, rem = divmod(t, dt)
         for _ in range(int(steps)):

@@ -1,9 +1,10 @@
 """Symmetric linear operators with dense or edge-list storage.
 
-Operators up to ``DENSE_LIMIT`` nodes are materialized as dense float64
-matrices (dense eigensolvers need them anyway at desk scale). Larger
-operators keep only the symmetric edge-list form and support matvec and
-Lanczos spectral-radius estimation.
+Operators built from edges keep the symmetric edge-list form at every
+size, so a matvec costs O(n + |E|) and no n x n matrix is allocated.
+:meth:`SymOperator.dense` scatters the matrix on demand for the callers
+that need one (the dense eigensolver), up to ``DENSE_LIMIT`` nodes;
+larger edge-list operators are matvec-only.
 """
 from __future__ import annotations
 
@@ -40,6 +41,8 @@ class SymOperator:
             self._n = int(n)
             self._edges = np.ascontiguousarray(edges, dtype=np.int64)
             self._edges.setflags(write=False)
+            self._ei = np.ascontiguousarray(self._edges[:, 0])
+            self._ej = np.ascontiguousarray(self._edges[:, 1])
             self._offdiag = _readonly(offdiag)
             self._diag = _readonly(diag)
 
@@ -67,12 +70,6 @@ class SymOperator:
             raise ValueError("one off-diagonal value per edge required")
         if diag.shape != (n,):
             raise ValueError(f"diagonal must have length {n}")
-        if n <= DENSE_LIMIT:
-            m = np.zeros((n, n))
-            m[edges[:, 0], edges[:, 1]] = offdiag
-            m[edges[:, 1], edges[:, 0]] = offdiag
-            m[np.arange(n), np.arange(n)] = diag
-            return cls(dense=m)
         return cls(n=n, edges=edges, offdiag=offdiag, diag=diag)
 
     @property
@@ -88,11 +85,18 @@ class SymOperator:
         return self._dense is not None
 
     def dense(self) -> np.ndarray:
-        if self._dense is None:
-            raise ValueError(
-                f"operator with n={self._n} > {DENSE_LIMIT} is matvec-only"
-            )
-        return self._dense
+        """The matrix, read-only; edge-list storage is scattered anew on each call."""
+        if self._dense is not None:
+            return self._dense
+        n = self._n
+        if n > DENSE_LIMIT:
+            raise ValueError(f"operator with n={n} > {DENSE_LIMIT} is matvec-only")
+        m = np.zeros((n, n))
+        m[self._ei, self._ej] = self._offdiag
+        m[self._ej, self._ei] = self._offdiag
+        m[np.arange(n), np.arange(n)] = self._diag
+        m.setflags(write=False)
+        return m
 
     def diagonal(self) -> np.ndarray:
         if self._dense is not None:
@@ -106,12 +110,14 @@ class SymOperator:
             raise ValueError(f"operand has {x.shape[0]} rows, operator has n={self._n}")
         if self._dense is not None:
             return self._dense @ x
-        y = self._diag.reshape(-1, *([1] * (x.ndim - 1))) * x
-        ei, ej = self._edges[:, 0], self._edges[:, 1]
-        w = self._offdiag.reshape(-1, *([1] * (x.ndim - 1)))
-        np.add.at(y, ei, w * x[ej])
-        np.add.at(y, ej, w * x[ei])
-        return y
+        n, ei, ej, w = self._n, self._ei, self._ej, self._offdiag
+        cols = x[:, None] if x.ndim == 1 else x
+        y = self._diag[:, None] * cols
+        for k in range(cols.shape[1]):  # bincount sums in edge order: bit-stable
+            col = cols[:, k]
+            y[:, k] += np.bincount(ei, w * col[ej], minlength=n)
+            y[:, k] += np.bincount(ej, w * col[ei], minlength=n)
+        return y.reshape(x.shape)
 
     def max_abs(self) -> float:
         """Largest entry magnitude (tolerance scale)."""

@@ -75,8 +75,7 @@ def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> 
     residual |beta_k s_k| is at most tol * theta; ``iters`` caps the
     matvecs. After :data:`LANCZOS_RESTART` steps the basis restarts from
     the top Ritz vector. On non-convergence a warning is logged and, below
-    n = 512 with dense storage, the dense eigensolver supplies the value
-    instead.
+    n = 512, the dense eigensolver supplies the value instead.
     """
     n = op.n
     if n == 0:
@@ -112,7 +111,7 @@ def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> 
             v = w / beta
             betas.append(beta)
     log.warning("Lanczos iteration did not converge in %d matvecs (n=%d)", iters, n)
-    if n < 512 and op.is_dense:
+    if n < 512:
         return float(eig_sym(op).eigenvalues[-1])
     return theta
 

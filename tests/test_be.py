@@ -8,7 +8,18 @@ from be_spectral import (advection_decomposition, build_be, eig_sym,
                          ring_graph, star_graph, SymOperator)
 from be_spectral.errors import IsolatedNodeUnderMu, UnstableStep
 from be_spectral.graphs import build_graph, complete_graph
+from be_spectral.operators import DENSE_LIMIT
 from be_spectral.verify import random_graph
+
+
+def large_ring_be(seed):
+    """L_mu on a ring plus up to n random chords, above DENSE_LIMIT."""
+    n = DENSE_LIMIT + 4
+    rng = np.random.default_rng(seed)
+    chords = rng.integers(0, n, size=(n, 2))
+    chords = chords[chords[:, 0] != chords[:, 1]]
+    edges = np.concatenate([np.stack([np.arange(n), (np.arange(n) + 1) % n], 1), chords])
+    return build_be(build_graph(n, edges), rng.uniform(0.1, 2.0, n)), rng
 
 
 class TestBuildBE:
@@ -161,6 +172,15 @@ class TestNormalized:
         floored = build_be(g, floor_potential([0.0, 0.0, 1.0]))
         normalized_be(floored, "symmetric")  # no raise
 
+    def test_symmetric_above_dense_limit(self):
+        be, rng = large_ring_be(14)
+        op = normalized_be(be, "symmetric")
+        assert not op.is_dense
+        r = 1.0 / np.sqrt(be.degrees)
+        x = rng.standard_normal((be.graph.n, 2))
+        want = r[:, None] * be.matvec(r[:, None] * x)
+        npt.assert_allclose(op.matvec(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
+
     def test_random_walk_similar_to_symmetric(self):
         rng = np.random.default_rng(7)
         g = random_graph(rng, connected=True)
@@ -196,6 +216,15 @@ class TestHeatFlow:
             assert abs(f.sum() - f0.sum()) <= 1e-9 * max(abs(f0.sum()), 1.0)
         fe = heat_flow(be, f0, 0.5, scheme="euler", dt=1e-3)
         assert abs(fe.sum() - f0.sum()) <= 1e-9 * max(abs(f0.sum()), 1.0)
+
+    def test_euler_mass_conservation_above_dense_limit(self):
+        be, rng = large_ring_be(15)
+        f0 = rng.standard_normal(be.graph.n) + 1.0
+        f = heat_flow(be, f0, 0.5, scheme="euler", dt=0.05)
+        assert abs(f.sum() - f0.sum()) <= 1e-9 * abs(f0.sum())
+        assert np.abs(f - f0).max() > 0.1
+        with pytest.raises(UnstableStep, match="lambda_max"):
+            heat_flow(be, f0, 0.5, scheme="euler", dt=0.5)
 
     def test_euler_cross_validates_spectral(self):
         # asymmetric potential on a ring, localized pulse: anisotropic spread

@@ -1,4 +1,6 @@
 """Chebyshev filtering: scaling, recurrence vs eigenbasis oracle, algebra."""
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from be_spectral import (ChebFilter, SymOperator, build_be, cheb_apply,
                          cheb_apply_be, cheb_spectral_oracle, eig_sym,
                          laplacian, ring_graph, scale_operator)
+from be_spectral.graphs import build_graph
 from be_spectral.verify import random_graph
 
 
@@ -184,3 +187,22 @@ class TestChebApplyBE:
         y = cheb_apply_be(filt, be, x, kind="symmetric")
         ref = cheb_apply(filt, normalized_be(be, "symmetric"), x)
         npt.assert_array_equal(y, ref)
+
+    def test_memory_stays_sparse(self):
+        # ring plus 2n random pairs at n = 4000: a dense L_mu would take n^2 8 B
+        n = 4000
+        rng = np.random.default_rng(16)
+        extra = rng.integers(0, n, size=(2 * n, 2))
+        edges = np.concatenate([np.stack([np.arange(n), (np.arange(n) + 1) % n], 1),
+                                extra[extra[:, 0] != extra[:, 1]]])
+        be = build_be(build_graph(n, edges), rng.uniform(0.1, 2.0, n))
+        filt = ChebFilter(list(rng.standard_normal(10)))
+        x = rng.standard_normal((n, 4))
+        tracemalloc.start()
+        try:
+            y = cheb_apply_be(filt, be, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(y).all()
+        assert peak < 0.1 * n * n * 8

@@ -3,7 +3,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import SymOperator
+from be_spectral import SymOperator, star_graph
+from be_spectral.graphs import degree_matrix
+from be_spectral.operators import DENSE_LIMIT
 
 
 def test_rejects_asymmetric():
@@ -49,8 +51,49 @@ def test_sparse_matvec_agrees_with_dense():
     npt.assert_allclose(sparse_op.matvec(x), dense_op.matvec(x), atol=1e-12)
     xc = rng.standard_normal((n, 3))
     npt.assert_allclose(sparse_op.matvec(xc), dense_op.matvec(xc), atol=1e-12)
+    npt.assert_allclose(sparse_op.matvec(x), sparse_op.dense() @ x, atol=1e-12)
+    npt.assert_allclose(sparse_op.matvec(xc), sparse_op.dense() @ xc, atol=1e-12)
     assert sparse_op.max_abs() == dense_op.max_abs()
     npt.assert_array_equal(sparse_op.diagonal(), diag)
+
+
+def test_from_edges_keeps_edge_storage_and_densifies_on_demand():
+    edges = np.array([[0, 1], [1, 2]])
+    op = SymOperator.from_edges(4, edges, np.array([-1.0, 2.0]), np.arange(4.0))
+    assert not op.is_dense
+    m = op.dense()
+    assert not m.flags.writeable
+    assert op.dense() is not m  # scattered per call, not cached
+    npt.assert_array_equal(op.dense(), m)
+    n = DENSE_LIMIT + 1
+    big = SymOperator.from_edges(n, edges, np.array([-1.0, 2.0]), np.ones(n))
+    with pytest.raises(ValueError, match="matvec-only"):
+        big.dense()
+
+
+def test_matvec_isolated_nodes():
+    # nodes 3 and 4 have no edges: their rows are the diagonal alone
+    edges = np.array([[0, 1], [1, 2], [0, 2]])
+    diag = np.array([2.0, -1.0, 0.5, 3.0, -4.0])
+    op = SymOperator.from_edges(5, edges, np.array([1.0, -2.0, 0.25]), diag)
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(5)
+    npt.assert_allclose(op.matvec(x), op.dense() @ x, atol=1e-14)
+    npt.assert_array_equal(op.matvec(x)[3:], diag[3:] * x[3:])
+    xc = rng.standard_normal((5, 3))
+    assert op.matvec(xc).shape == (5, 3)
+    npt.assert_allclose(op.matvec(xc), op.dense() @ xc, atol=1e-14)
+    npt.assert_array_equal(op.matvec(xc)[3:], diag[3:, None] * xc[3:])
+
+
+def test_matvec_without_edges():
+    g = star_graph(6)
+    op = degree_matrix(g)
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(6)
+    npt.assert_array_equal(op.matvec(x), g.degrees * x)
+    xc = rng.standard_normal((6, 2))
+    npt.assert_array_equal(op.matvec(xc), g.degrees[:, None] * xc)
 
 
 def test_scaled_both_storages():

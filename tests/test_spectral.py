@@ -142,6 +142,16 @@ class TestLambdaMaxPower:
         assert abs(lam - 1.0) < 1e-12  # dense fallback kicked in
         assert any("did not converge" in r.message for r in caplog.records)
 
+    def test_edge_list_fallback_on_no_convergence(self, caplog):
+        rng = np.random.default_rng(13)
+        g = random_graph(rng, n_min=20, n_max=30, connected=True)
+        op = build_be(g, rng.uniform(0.1, 2.0, g.n)).operator()
+        assert not op.is_dense
+        with caplog.at_level("WARNING", logger="be_spectral.spectral"):
+            lam = lambda_max_power(op, iters=1)
+        assert any("did not converge" in r.message for r in caplog.records)
+        assert abs(lam - np.linalg.eigvalsh(op.dense())[-1]) <= 1e-12
+
     def test_edge_list_operator_matches_lapack(self, large_edge_operator, monkeypatch):
         op, lam_true = large_edge_operator
         assert not op.is_dense
