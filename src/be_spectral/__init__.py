@@ -23,7 +23,6 @@ from .chebyshev import (ChebFilter, scale_operator, cheb_apply, cheb_apply_be,
                         cheb_spectral_oracle)
 from .autodiff import Tape, Tensor, backward, constant, AdamState, adam_step
 from .models import (ModelConfig, MuConfig, MuChebNet, MuParameterizer,
-                     mucheb_forward, mu_forward, stable_mucheb_forward,
                      mse_loss, cross_entropy_loss,
                      log10_mse, accuracy, context_for)
 from .tasks import (TaskInstance, gen_barbell, gen_graph_property,

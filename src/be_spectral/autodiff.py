@@ -11,8 +11,8 @@ elementwise ops, reductions) the engine provides the graph-specific
 primitives that make a potential-weighted Laplacian differentiable in the
 potential: ``edge_weights`` (node vector -> per-edge endpoint averages,
 whose adjoint scatters half the upstream gradient to both endpoints),
-``node_sums`` (per-edge values -> weighted degrees), a symmetric scatter
-into a dense matrix, and an edge-based sparse matvec.
+``node_sums`` (per-edge values -> weighted degrees) and a symmetric
+scatter into a dense matrix, from which the models assemble the operator.
 
 Tapes are single-threaded and meant to live for one training step.
 A tensor refers to its tape only weakly, so a finished step (tape,
@@ -32,7 +32,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "transpose2", "reshape",
     "concat", "tsum", "tmean", "relu", "softplus", "texp", "ttanh", "tlog",
     "powc", "take_nodes", "edge_weights", "node_sums", "scatter_sym_dense",
-    "spmv_edge_weights", "diag_embed",
+    "diag_embed",
     "AdamState", "adam_step", "check_finite",
 ]
 
@@ -336,44 +336,6 @@ def scatter_sym_dense(w, ei, ej, n: int) -> Tensor:
         return (g[..., ei, ej] + g[..., ej, ei],)
 
     return _record((w,), out, vjp)
-
-
-def spmv_edge_weights(w, x, ei, ej) -> Tensor:
-    """Apply the edge-weighted Laplacian without materializing it.
-
-    y_i = (sum_{e ni i} w_e) x_i - sum_{(i,j)=e} w_e x_j, acting on
-    x of shape (..., n, c) with weights (..., m). Differentiable in both
-    arguments; the weight adjoint is (g_i - g_j) . (x_i - x_j) per edge.
-    """
-    w = _as_tensor(w)
-    x = _as_tensor(x)
-    ei = np.asarray(ei, dtype=np.int64)
-    ej = np.asarray(ej, dtype=np.int64)
-    n = x.shape[-2]
-
-    def apply_lw(wd, xd):
-        deg = np.zeros(wd.shape[:-1] + (n,))
-        deg_t = np.moveaxis(deg, -1, 0)
-        wt = np.moveaxis(wd, -1, 0)
-        np.add.at(deg_t, ei, wt)
-        np.add.at(deg_t, ej, wt)
-        y = deg[..., None] * xd
-        yt = np.moveaxis(y, -2, 0)
-        we = wd[..., None]
-        np.add.at(yt, ei, np.moveaxis(-we * np.take(xd, ej, axis=-2), -2, 0))
-        np.add.at(yt, ej, np.moveaxis(-we * np.take(xd, ei, axis=-2), -2, 0))
-        return y
-
-    out = apply_lw(w.data, x.data)
-
-    def vjp(g):
-        gx = apply_lw(w.data, g)  # the operator is symmetric in x
-        dg = np.take(g, ei, axis=-2) - np.take(g, ej, axis=-2)
-        dx = np.take(x.data, ei, axis=-2) - np.take(x.data, ej, axis=-2)
-        gw = _unbroadcast((dg * dx).sum(axis=-1), w.shape)
-        return gw, _unbroadcast(gx, x.shape)
-
-    return _record((w, x), out, vjp)
 
 
 def diag_embed(d) -> Tensor:

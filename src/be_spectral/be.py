@@ -74,11 +74,9 @@ class BEOperator:
         return self.operator().matvec(f)
 
     def adjacency_matrix(self) -> np.ndarray:
-        a = np.zeros((self.graph.n, self.graph.n))
-        e = self.graph.edges
-        a[e[:, 0], e[:, 1]] = self.edge_weights
-        a[e[:, 1], e[:, 0]] = self.edge_weights
-        return a
+        """A_mu, read-only; n is capped at ``DENSE_LIMIT``."""
+        return SymOperator.from_edges(self.graph.n, self.graph.edges, self.edge_weights,
+                                      np.zeros(self.graph.n)).dense()
 
 
 def build_be(g: Graph, mu) -> BEOperator:

@@ -5,12 +5,16 @@ Ls = 2 M / lambda_max - I is the operator rescaled so its spectrum lies
 in [-1, 1]. The polynomials are evaluated by the three-term recurrence
 T_0 = I, T_1 = Ls, T_k = 2 Ls T_{k-1} - T_{k-2}, applied directly to X;
 the matrices T_k(Ls) are never materialized, so one application costs
-K + 1 matvecs. Coefficients are either scalars (pure filtering) or
-(c_in, c_out) matrices (learned layers).
+K matvecs. :func:`cheb_basis` is that recurrence, written once for numpy
+arrays and autodiff tensors alike; :func:`cheb_apply` and the learned
+layers of ``models`` sum its terms. Coefficients are either scalars (pure
+filtering) or (c_in, c_out) matrices (learned layers).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -65,6 +69,22 @@ def scale_operator(op: SymOperator, lambda_max: float) -> SymOperator:
     return op.scaled(2.0 / lambda_max, -1.0)
 
 
+def cheb_basis(apply, x, K: int):
+    """Yield T_0(Ls) x, ..., T_K(Ls) x, where ``apply(z)`` computes Ls z.
+
+    ``x`` may be a numpy array or an autodiff tensor; the terms are made
+    lazily, one ``apply`` each from T_1 on, so a consumer that sums them
+    as they come records its operations in recurrence order.
+    """
+    yield x
+    if K >= 1:
+        z_prev, z = x, apply(x)
+        yield z
+        for _ in range(2, K + 1):
+            z_prev, z = z, apply(z) * 2.0 - z_prev
+            yield z
+
+
 def cheb_apply(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
     """Filter node signals: Y = sum_k T_k(2 op / lambda_max - I) X Theta_k.
 
@@ -89,14 +109,8 @@ def cheb_apply(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
     def weighted(z, theta):
         return float(theta) * z if filt.is_scalar else z @ theta
 
-    z_prev = x
-    y = weighted(z_prev, filt.coefficients[0])
-    if filt.K >= 1:
-        z = ls.matvec(x)
-        y = y + weighted(z, filt.coefficients[1])
-        for k in range(2, filt.K + 1):
-            z_prev, z = z, 2.0 * ls.matvec(z) - z_prev
-            y = y + weighted(z, filt.coefficients[k])
+    terms = zip(cheb_basis(ls.matvec, x, filt.K), filt.coefficients)
+    y = reduce(add, (weighted(z, theta) for z, theta in terms))
     return y[:, 0] if squeeze else y
 
 

@@ -22,7 +22,7 @@ from .models import ModelConfig, MuChebNet, context_for
 from .runner import RunConfig, build_dataset, evaluate, train_multi
 from .spectral import eig_sym
 from .tasks import gen_barbell, gen_graph_property, gen_ring_routing
-from .verify import SUITE_ALIASES, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 
 def _load_graph_mu(args):
@@ -97,11 +97,11 @@ def cmd_filter(args) -> int:
 def cmd_verify(args) -> int:
     names = args.suite.split(",") if args.suite != "all" else sorted(SUITES)
     reports = []
-    for name in names:
+    for name in map(str.strip, names):
         kwargs = {}
-        if SUITE_ALIASES.get(name, name) == "star-bounds" and args.n:
+        if name == "star-bounds" and args.n:
             kwargs["ns"] = [int(v) for v in args.n.split(",")]
-        report = run_suite(name.strip(), **kwargs)
+        report = run_suite(name, **kwargs)
         reports.append(report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {report['suite']}")
@@ -224,8 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numerical verification suites")
     p.add_argument("--suite", default="all",
-                   help="comma list of: " + ",".join(sorted(SUITES))
-                        + " (aliases: " + ",".join(sorted(SUITE_ALIASES)) + ")")
+                   help="comma list of: " + ",".join(sorted(SUITES)))
     p.add_argument("--n", help="star sizes for star-bounds, e.g. 5,6,10,50")
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)

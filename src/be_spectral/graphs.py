@@ -46,11 +46,9 @@ class Graph:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
     def adjacency_dense(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        if self.m:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
+        """0/1 adjacency matrix, read-only; n is capped at ``DENSE_LIMIT``."""
+        return SymOperator.from_edges(self.n, self.edges, np.ones(self.m),
+                                      np.zeros(self.n)).dense()
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"

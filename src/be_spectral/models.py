@@ -13,35 +13,34 @@ replaces each layer with the residual update
 whose antisymmetric part contributes purely imaginary eigenvalues, so
 depth does not blow up hidden norms.
 
-With the symmetric-normalized operator the spectrum lives in [0, 2] and
-the Chebyshev scaling constant is exactly 2, so no spectral-radius
-estimate is needed; the unnormalized operator re-estimates lambda_max by
-power iteration on every forward pass, treated as a constant during
-differentiation (no gradient flows through it).
+Both layer kinds sum the terms of ``chebyshev.cheb_basis``, the same
+recurrence the numeric filters use. With the symmetric-normalized
+operator the spectrum lives in [0, 2] and the Chebyshev scaling constant
+is exactly 2, so no spectral-radius estimate is needed; the unnormalized
+operator takes lambda_max from a dense symmetric eigenvalue solve
+(``eigvalsh``) on every forward pass, padded by ``LAMBDA_MAX_SLACK`` and
+treated as a constant during differentiation (no gradient flows through
+it).
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from . import autodiff as ad
-from .chebyshev import LAMBDA_MAX_SLACK
+from .be import DEFAULT_MU_FLOOR
+from .chebyshev import LAMBDA_MAX_SLACK, cheb_basis
 from .errors import IsolatedNodeUnderMu
 from .graphs import Graph
-
-log = logging.getLogger(__name__)
-
-MU_EPS_FLOOR = 1e-4
 
 
 @dataclass
 class MuConfig:
     layers: int = 2
     hidden: int = 16
-    eps_floor: float = MU_EPS_FLOOR
+    eps_floor: float = DEFAULT_MU_FLOOR
 
     @classmethod
     def from_dict(cls, d: dict) -> "MuConfig":
@@ -143,45 +142,6 @@ class MuParameterizer:
         return ad.softplus(z) + self.config.eps_floor  # (B, n, 1), strictly > 0
 
 
-def _batched_lambda_max(mats: np.ndarray, iters: int = 200, tol: float = 1e-9) -> np.ndarray:
-    """Power-iteration spectral radius per batch entry of PSD matrices."""
-    b, n, _ = mats.shape
-    rng = np.random.default_rng(0xA17A)
-    v0 = rng.standard_normal(n)
-    v = np.broadcast_to(v0 / np.linalg.norm(v0), (b, n)).copy()
-    lam = np.zeros(b)
-    for _ in range(iters):
-        w = np.einsum("bij,bj->bi", mats, v)
-        lam = np.einsum("bi,bi->b", v, w)
-        res = np.linalg.norm(w - lam[:, None] * v, axis=1)
-        if (res <= tol * np.maximum(np.abs(lam), 1e-300)).all():
-            break
-        nw = np.linalg.norm(w, axis=1, keepdims=True)
-        nw[nw == 0.0] = 1.0
-        v = w / nw
-    else:
-        log.warning("batched power iteration did not converge in %d iterations "
-                    "(batch=%d, n=%d)", iters, b, n)
-    return np.maximum(lam, 1e-12)
-
-
-def _cheb_combine(op, h, weights):
-    """sum_k T_k(op) h @ weights[k] via the three-term recurrence.
-
-    ``op`` may be an autodiff Tensor (mu path) or a constant; weights are
-    Tensors (learned coefficients or the stable-update matrices).
-    """
-    z_prev = h
-    acc = z_prev @ weights[0]
-    if len(weights) > 1:
-        z = op @ h
-        acc = acc + z @ weights[1]
-        for k in range(2, len(weights)):
-            z_prev, z = z, (op @ z) * 2.0 - z_prev
-            acc = acc + z @ weights[k]
-    return acc
-
-
 class MuChebNet:
     """Chebyshev spectral network over a learned potential-weighted operator.
 
@@ -242,7 +202,7 @@ class MuChebNet:
             return -(r[:, None] * ctx.adjacency * r[None, :])  # L_sym - I
         lap = np.diag(ctx.degrees) - ctx.adjacency
         if lambda_max is None:
-            lambda_max = LAMBDA_MAX_SLACK * _batched_lambda_max(lap[None])[0]
+            lambda_max = LAMBDA_MAX_SLACK * max(np.linalg.eigvalsh(lap)[-1], 1e-12)
         return 2.0 / float(lambda_max) * lap - np.eye(ctx.n)
 
     def _mu_operator(self, ctx: GraphContext, mu: ad.Tensor, lambda_max):
@@ -260,7 +220,8 @@ class MuChebNet:
             return ad.neg(a_norm)  # (L_sym scaled by lambda_max = 2) = L_sym - I
         l_mu = ad.diag_embed(d_mu) - a_mu
         if lambda_max is None:
-            lam = LAMBDA_MAX_SLACK * _batched_lambda_max(l_mu.data)  # stop-gradient
+            # stop-gradient; the floor keeps an edgeless graph's L_mu = 0 finite
+            lam = LAMBDA_MAX_SLACK * np.maximum(np.linalg.eigvalsh(l_mu.data)[..., -1], 1e-12)
         else:
             lam = np.broadcast_to(np.asarray(lambda_max, dtype=np.float64), (b,))
         scale = ad.constant((2.0 / lam)[:, None, None])
@@ -275,7 +236,7 @@ class MuChebNet:
         ``x`` is (B, n, c) or a single instance (n, c); a missing feature
         matrix falls back to the degree scalar. ``lambda_max`` freezes the
         spectral-radius constant (useful for finite-difference checks);
-        by default it is re-estimated each forward pass in ``unnorm`` mode.
+        by default it is recomputed each forward pass in ``unnorm`` mode.
         ``norm_trace`` collects the hidden-state norm after the encoder and
         after every layer (stability diagnostics).
         """
@@ -302,6 +263,10 @@ class MuChebNet:
             if norm_trace is not None:
                 norm_trace.append(float(np.linalg.norm(t.data)))
 
+        def cheb_sum(h, weights):  # sum_k T_k(op) h @ weights[k]
+            terms = zip(cheb_basis(lambda z: op @ z, h, len(weights) - 1), weights)
+            return reduce(ad.add, (z @ w for z, w in terms))
+
         c = self.config
         if c.stable:
             h = xs @ bound["enc.W"] + bound["enc.b"]
@@ -310,7 +275,7 @@ class MuChebNet:
             for l in range(c.layers):
                 mats = [bound[f"layer{l}.W{k}"] for k in range(c.K + 1)]
                 effective = [m - ad.transpose2(m) - eye for m in mats]
-                h = h + _cheb_combine(op, h, effective) * c.eps
+                h = h + cheb_sum(h, effective) * c.eps
                 if c.post_nonlinearity:
                     h = ad.relu(h)
                 trace(h)
@@ -319,7 +284,7 @@ class MuChebNet:
             trace(h)
             for l in range(c.layers):
                 thetas = [bound[f"layer{l}.theta{k}"] for k in range(c.K + 1)]
-                h = _cheb_combine(op, h, thetas) + bound[f"layer{l}.b"]
+                h = cheb_sum(h, thetas) + bound[f"layer{l}.b"]
                 if l < c.layers - 1:
                     h = ad.relu(h)
                 trace(h)
@@ -336,38 +301,6 @@ class MuChebNet:
         elif mu is not None:
             mu = ad.reshape(mu, (x.shape[0], ctx.n))
         return pred, mu
-
-
-def mu_forward(model: MuChebNet, graph: Graph, x, tape: ad.Tape | None = None):
-    """Potential for one graph/features pair; returns (mu tensor, tape)."""
-    if model.parameterizer is None:
-        raise ValueError("model has no potential parameterizer")
-    tape = tape or ad.Tape()
-    ctx = context_for(graph)
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 2
-    xs = ad.constant(x[None] if single else x)
-    bound = model.bind(tape)
-    mu = model.parameterizer.forward(bound, ctx, xs)
-    if single:
-        mu = ad.reshape(mu, (ctx.n,))
-    return mu, tape
-
-
-def mucheb_forward(model: MuChebNet, graph: Graph, x,
-                   tape: ad.Tape | None = None, lambda_max=None):
-    """Full forward pass on a fresh tape; returns (pred, mu, tape)."""
-    tape = tape or ad.Tape()
-    pred, mu = model.forward(tape, context_for(graph), x, lambda_max=lambda_max)
-    return pred, mu, tape
-
-
-def stable_mucheb_forward(model: MuChebNet, graph: Graph, x,
-                          tape: ad.Tape | None = None, lambda_max=None):
-    """Forward pass for the residual (antisymmetric-update) variant."""
-    if not model.config.stable:
-        raise ValueError("model was not configured with stable=True")
-    return mucheb_forward(model, graph, x, tape=tape, lambda_max=lambda_max)
 
 
 # --- losses ---

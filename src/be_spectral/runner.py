@@ -78,9 +78,11 @@ def _rebind_shared_graph(splits: list[list[TaskInstance]]) -> None:
     """Fixed-topology tasks regenerate an identical graph per instance;
     share one object so operator constants are computed once."""
     g0 = splits[0][0].graph
-    for split in splits:
-        for inst in split:
-            assert np.array_equal(inst.graph.edges, g0.edges)
+    for name, split in zip(("train", "val", "test"), splits):
+        for i, inst in enumerate(split):
+            if inst.graph.n != g0.n or not np.array_equal(inst.graph.edges, g0.edges):
+                raise ValueError(f"{name} instance {i} has {inst.graph!r}, "
+                                 f"not the shared {g0!r}")
             inst.graph = g0
 
 

@@ -272,12 +272,7 @@ SUITES = {
     "stability": suite_stability,
 }
 
-#: historical aliases accepted on the command line
-SUITE_ALIASES = {"lemma": "factorization", "corollaries": "star-bounds"}
-
-
 def run_suite(name: str, **kwargs) -> dict:
-    name = SUITE_ALIASES.get(name, name)
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
     return SUITES[name](**kwargs)

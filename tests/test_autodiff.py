@@ -96,9 +96,8 @@ class TestPrimitiveGradients:
             w = ad.edge_weights(p["mu"], ei, ej)
             d = ad.node_sums(w, ei, ej, 7)
             a = ad.scatter_sym_dense(w, ei, ej, 7)
-            y = ad.spmv_edge_weights(w, p["x"], ei, ej)
             de = ad.diag_embed(d)
-            return ad.tsum(y * y) + ad.tsum((a + de) @ p["x"]) + ad.tsum(d * d)
+            return ad.tsum((a + de) @ p["x"]) + ad.tsum(d * d)
 
         check_op(build, {"mu": (2, 7), "x": (2, 7, 3)})
 
@@ -113,41 +112,36 @@ class TestGraphPrimitiveSemantics:
         grads = ad.backward(tape, loss)
         npt.assert_array_equal(grads[mu], [0.5, 0.5])
 
-    def test_spmv_matches_dense_laplacian(self):
-        from be_spectral import build_be
-        rng = np.random.default_rng(5)
-        g = ring_graph(9)
-        mu = rng.uniform(0.2, 2.0, 9)
-        be = build_be(g, mu)
-        x = rng.standard_normal((9, 2))
-        tape = ad.Tape()
-        w = ad.constant(be.edge_weights)
-        y = ad.spmv_edge_weights(w, ad.constant(x), g.edges[:, 0], g.edges[:, 1])
-        npt.assert_allclose(y.data, be.matrix() @ x, atol=1e-12)
-
     def test_loss_through_operator_norm(self):
-        # d/dmu ||L_mu x||^2 against finite differences
+        # d/dmu ||L_mu x||^2 against finite differences, with L_mu assembled
+        # from the primitives the models use
         g = ring_graph(6)
         ei, ej = g.edges[:, 0], g.edges[:, 1]
         rng = np.random.default_rng(6)
         x = rng.standard_normal((6, 2))
 
-        def lossfn(p):
-            tape = ad.Tape()
-            mu = tape.leaf(p["mu"], name="mu")
+        def norm_sq(mu):
             w = ad.edge_weights(mu, ei, ej)
-            y = ad.spmv_edge_weights(w, ad.constant(x), ei, ej)
-            return float(ad.tsum(y * y).data)
+            l_mu = ad.diag_embed(ad.node_sums(w, ei, ej, 6)) - ad.scatter_sym_dense(w, ei, ej, 6)
+            y = l_mu @ ad.constant(x)
+            return ad.tsum(y * y)
+
+        def lossfn(p):
+            return float(norm_sq(ad.constant(p["mu"])).data)
 
         params = {"mu": rng.uniform(0.5, 1.5, 6)}
         tape = ad.Tape()
         mu = tape.leaf(params["mu"], name="mu")
-        w = ad.edge_weights(mu, ei, ej)
-        y = ad.spmv_edge_weights(w, ad.constant(x), ei, ej)
-        grads = ad.backward(tape, ad.tsum(y * y))
+        grads = ad.backward(tape, norm_sq(mu))
         fd = numeric_gradient(lossfn, params, [("mu", i) for i in range(6)])
         for (name, i), v in fd.items():
             assert gradcheck_error(float(grads[mu][i]), v) <= 1e-5
+
+
+class TestExports:
+    def test_every_exported_name_resolves(self):
+        missing = [name for name in ad.__all__ if not hasattr(ad, name)]
+        assert not missing
 
 
 class TestTapeSemantics:

@@ -5,9 +5,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import be_spectral.autodiff as ad
 from be_spectral import (ChebFilter, SymOperator, build_be, cheb_apply,
                          cheb_apply_be, cheb_spectral_oracle, eig_sym,
                          laplacian, ring_graph, scale_operator)
+from be_spectral.chebyshev import cheb_basis
 from be_spectral.graphs import build_graph
 from be_spectral.verify import random_graph
 
@@ -43,6 +45,23 @@ class TestChebFilterType:
 
     def test_k_property(self):
         assert ChebFilter([1.0, 0.5, 0.25], lambda_max=2.0).K == 2
+
+
+class TestChebBasis:
+    def test_array_and_tensor_terms_bit_equal(self):
+        # the numeric filters and the learned layers run one recurrence
+        rng = np.random.default_rng(3)
+        g = random_graph(rng, n_min=8, n_max=12, connected=True)
+        ls = scale_operator(laplacian(g), 1.01 * eig_sym(laplacian(g)).eigenvalues[-1])
+        m = ls.dense()
+        x = rng.standard_normal((2, g.n, 3))
+        tape = ad.Tape()
+        arrays = list(cheb_basis(lambda z: m @ z, x, 6))
+        tensors = list(cheb_basis(lambda z: ad.constant(m) @ z, tape.leaf(x), 6))
+        assert len(arrays) == len(tensors) == 7
+        assert all(t.requires_grad for t in tensors)
+        for a, t in zip(arrays, tensors):
+            npt.assert_array_equal(a, t.data)
 
 
 class TestChebApply:

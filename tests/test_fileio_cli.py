@@ -140,18 +140,28 @@ class TestCli:
         assert report[0]["suite"] == "algebra" and report[0]["passed"]
         assert "[PASS]" in capsys.readouterr().out
 
-    def test_verify_aliases(self, tmp_path):
+    def test_verify_factorization_suite(self, tmp_path):
         out = tmp_path / "report.json"
-        code = main(["verify", "--suite", "lemma", "--out", str(out)])
+        code = main(["verify", "--suite", "factorization", "--out", str(out)])
         assert code == 0
         assert json.loads(out.read_text())[0]["suite"] == "factorization"
 
     def test_verify_star_bounds_sizes(self, tmp_path):
         out = tmp_path / "report.json"
-        code = main(["verify", "--suite", "corollaries", "--n", "5,6",
+        code = main(["verify", "--suite", "star-bounds", "--n", "5,6",
                      "--out", str(out)])
         assert code == 0
         names = {c["name"] for c in json.loads(out.read_text())[0]["checks"]}
+        assert "gap-bound-n5" in names and "gap-bound-n50" not in names
+
+    def test_verify_sizes_reach_a_listed_suite_after_a_space(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["verify", "--suite", "factorization, star-bounds", "--n", "5,6",
+                     "--out", str(out)])
+        assert code == 0
+        reports = json.loads(out.read_text())
+        assert [r["suite"] for r in reports] == ["factorization", "star-bounds"]
+        names = {c["name"] for c in reports[1]["checks"]}
         assert "gap-bound-n5" in names and "gap-bound-n50" not in names
 
 

@@ -4,11 +4,11 @@ import numpy.testing as npt
 import pytest
 
 import be_spectral.autodiff as ad
-from be_spectral import build_graph, ring_graph
+from be_spectral import barbell_graph, build_be, build_graph, ring_graph
+from be_spectral.chebyshev import LAMBDA_MAX_SLACK
 from be_spectral.models import (ModelConfig, MuChebNet, MuConfig, accuracy,
                                 context_for, cross_entropy_loss, log10_mse,
-                                mse_loss, mu_forward, mucheb_forward,
-                                _batched_lambda_max)
+                                mse_loss)
 from be_spectral.verify import gradcheck_error, numeric_gradient, random_graph
 
 RNG = np.random.default_rng(2024)
@@ -25,7 +25,7 @@ class TestMuParameterizer:
         g = ring_graph(8)
         model = small_model()
         x = RNG.standard_normal((8, 2))
-        mu, _ = mu_forward(model, g, x)
+        _, mu = model.forward(ad.Tape(), context_for(g), x)
         expected = np.log1p(np.exp(0.0)) + 1e-4
         npt.assert_allclose(mu.data, np.full(8, expected), atol=1e-12)
 
@@ -36,7 +36,7 @@ class TestMuParameterizer:
         model.params["mu.Whead"] = np.random.default_rng(2).standard_normal(
             model.params["mu.Whead"].shape)
         x = np.random.default_rng(3).standard_normal((g.n, 2))
-        mu, _ = mu_forward(model, g, x)
+        _, mu = model.forward(ad.Tape(), context_for(g), x)
         assert (mu.data >= 1e-4).all()
         assert mu.data.std() > 0  # actually varies once the head is nonzero
 
@@ -58,8 +58,8 @@ class TestMuChebNetForward:
         shared = {k: v for k, v in with_mu.params.items()
                   if not k.startswith("mu.")}
         plain.load_params(shared)
-        p1, _, _ = mucheb_forward(with_mu, g, x)
-        p2, _, _ = mucheb_forward(plain, g, x)
+        p1, _ = with_mu.forward(ad.Tape(), context_for(g), x)
+        p2, _ = plain.forward(ad.Tape(), context_for(g), x)
         npt.assert_allclose(p1.data, p2.data, atol=1e-9)
 
     def test_k_zero_is_nodewise_mlp(self):
@@ -69,13 +69,13 @@ class TestMuChebNetForward:
         model = MuChebNet(2, cfg, seed=4)
         g1 = ring_graph(7)
         g2 = build_graph(7, [(i, j) for i in range(7) for j in range(i + 1, 7)])
-        p1, _, _ = mucheb_forward(model, g1, x)
-        p2, _, _ = mucheb_forward(model, g2, x)
+        p1, _ = model.forward(ad.Tape(), context_for(g1), x)
+        p2, _ = model.forward(ad.Tape(), context_for(g2), x)
         npt.assert_allclose(p1.data, p2.data, atol=1e-12)
         # and node i's output only depends on x_i
         x_mod = x.copy()
         x_mod[3] += 1.0
-        p3, _, _ = mucheb_forward(model, g1, x_mod)
+        p3, _ = model.forward(ad.Tape(), context_for(g1), x_mod)
         npt.assert_allclose(p3.data[:3], p1.data[:3], atol=1e-12)
         assert np.abs(p3.data[3] - p1.data[3]).max() > 1e-6
 
@@ -91,8 +91,8 @@ class TestMuChebNetForward:
         model = small_model()
         model.params["mu.Whead"] = rng.standard_normal(
             model.params["mu.Whead"].shape)  # nonconstant mu
-        pred, mu, _ = mucheb_forward(model, g, x)
-        pred_p, mu_p, _ = mucheb_forward(model, g_perm, x_perm)
+        pred, mu = model.forward(ad.Tape(), context_for(g), x)
+        pred_p, mu_p = model.forward(ad.Tape(), context_for(g_perm), x_perm)
         npt.assert_allclose(pred_p.data[perm], pred.data, atol=1e-9)
         npt.assert_allclose(mu_p.data[perm], mu.data, atol=1e-9)
 
@@ -107,17 +107,17 @@ class TestMuChebNetForward:
         cfg = ModelConfig(layers=1, K=2, hidden=4, out_dim=3, readout="graph",
                           mu=MuConfig())
         model = MuChebNet(2, cfg, seed=7)
-        p1, _, _ = mucheb_forward(model, g, x)
-        p2, _, _ = mucheb_forward(model, g_perm, x_perm)
+        p1, _ = model.forward(ad.Tape(), context_for(g), x)
+        p2, _ = model.forward(ad.Tape(), context_for(g_perm), x_perm)
         npt.assert_allclose(p1.data, p2.data, atol=1e-9)
 
     def test_batched_equals_loop(self):
         g = ring_graph(6)
         xs = RNG.standard_normal((3, 6, 2))
         model = small_model()
-        batch_pred, _, _ = mucheb_forward(model, g, xs)
+        batch_pred, _ = model.forward(ad.Tape(), context_for(g), xs)
         for b in range(3):
-            single, _, _ = mucheb_forward(model, g, xs[b])
+            single, _ = model.forward(ad.Tape(), context_for(g), xs[b])
             npt.assert_allclose(batch_pred.data[b], single.data, atol=1e-12)
 
     def test_gradients_reach_potential_parameters(self):
@@ -141,13 +141,13 @@ class TestMuChebNetForward:
     def test_shape_validation(self):
         model = small_model()
         with pytest.raises(ValueError, match="incompatible"):
-            mucheb_forward(model, ring_graph(8), np.zeros((8, 3)))
+            model.forward(ad.Tape(), context_for(ring_graph(8)), np.zeros((8, 3)))
 
 
 class TestLambdaMaxHandling:
     def test_recomputed_value_equals_frozen_constant(self):
-        # power iteration runs outside the tape; passing the same number as
-        # an explicit constant reproduces gradients bit for bit
+        # the eigenvalue solve runs outside the tape; passing the same number
+        # as an explicit constant reproduces gradients bit for bit
         g = ring_graph(8)
         x = RNG.standard_normal((8, 2))
         y = RNG.standard_normal((8, 1))
@@ -158,10 +158,8 @@ class TestLambdaMaxHandling:
         g1 = {t.name: v for t, v in
               ad.backward(tape1, mse_loss(pred1, y, np.ones(8, bool))).items()}
 
-        # reproduce the internal estimate for the induced operator
-        from be_spectral import build_be
-        lam = 1.01 * _batched_lambda_max(
-            build_be(g, mu1.data).matrix()[None])[0]
+        # reproduce the internal value for the induced operator
+        lam = LAMBDA_MAX_SLACK * np.linalg.eigvalsh(build_be(g, mu1.data).matrix())[-1]
         tape2 = ad.Tape()
         pred2, _ = model.forward(tape2, context_for(g), x, lambda_max=lam)
         g2 = {t.name: v for t, v in
@@ -170,16 +168,21 @@ class TestLambdaMaxHandling:
         for k in g1:
             npt.assert_array_equal(g1[k], g2[k])
 
-    def test_batched_nonconvergence_is_logged(self, caplog):
-        mats = np.stack([np.diag([1.0, 0.99, 0.5]), np.eye(3)])
-        with caplog.at_level("WARNING", logger="be_spectral.models"):
-            lam = _batched_lambda_max(mats, iters=3)
-        assert any("did not converge" in r.message for r in caplog.records)
-        assert 0.5 < lam[0] < 1.0 and lam[1] == 1.0  # stopped short, still returned
-        caplog.clear()
-        with caplog.at_level("WARNING", logger="be_spectral.models"):
-            _batched_lambda_max(np.eye(3)[None])
-        assert not caplog.records
+    def test_unnorm_scaling_stays_inside_unit_interval(self):
+        # criterion-8 barbell with a spread potential: an underestimated
+        # lambda_max would put the top scaled eigenvalue above 1, where T_K grows
+        g = barbell_graph(23, 4)
+        mu = np.random.default_rng(7).uniform(0.1, 2.0, g.n)
+        model = small_model(operator="unnorm")
+        op = model._mu_operator(context_for(g), ad.constant(mu.reshape(1, g.n, 1)), None)
+        assert np.linalg.eigvalsh(op.data)[..., -1].max() <= 1.0
+
+    @pytest.mark.parametrize("mu", [MuConfig(), None])
+    def test_unnorm_edgeless_graph_stays_finite(self, mu):
+        # L = 0 has lambda_max = 0; the scaled operator must not divide by it
+        model = MuChebNet(2, ModelConfig(K=3, hidden=4, operator="unnorm", mu=mu), seed=3)
+        pred, _ = model.forward(ad.Tape(), context_for(build_graph(3, [])), np.ones((3, 2)))
+        assert np.isfinite(pred.data).all()
 
     def test_no_leaf_for_lambda_max(self):
         g = ring_graph(8)
@@ -227,7 +230,7 @@ class TestStableVariant:
         cfg = ModelConfig(layers=5, K=2, hidden=4, out_dim=1, stable=True,
                           eps=0.0, gamma=0.1, mu=MuConfig())
         model = MuChebNet(3, cfg, seed=9)
-        pred, _, _ = mucheb_forward(model, g, x)
+        pred, _ = model.forward(ad.Tape(), context_for(g), x)
         manual = (x @ model.params["enc.W"] + model.params["enc.b"]) \
             @ model.params["readout.W"] + model.params["readout.b"]
         npt.assert_allclose(pred.data, manual, atol=1e-12)

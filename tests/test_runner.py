@@ -11,6 +11,7 @@ from be_spectral import runner
 from be_spectral.runner import (RunConfig, build_dataset, evaluate,
                                 grid_search, train_multi, train_run)
 from be_spectral.models import ModelConfig, MuChebNet
+from be_spectral.tasks import gen_barbell
 
 
 def tiny_barbell_config(**overrides):
@@ -37,6 +38,11 @@ class TestBuildDataset:
         assert all(inst.graph is g for inst in data.train + data.val + data.test)
         # different instances still have different features
         assert not np.array_equal(data.train[0].X, data.train[1].X)
+
+    def test_shared_graph_mismatch_rejected(self):
+        splits = [[gen_barbell(5, 2, seed=0)], [gen_barbell(6, 2, seed=1)]]
+        with pytest.raises(ValueError, match="val instance 0"):
+            runner._rebind_shared_graph(splits)
 
     def test_barbell_odd_total_rejected(self):
         with pytest.raises(ValueError, match="even"):
