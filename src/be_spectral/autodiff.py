@@ -13,6 +13,10 @@ potential: ``edge_weights`` (node vector -> per-edge endpoint averages,
 whose adjoint scatters half the upstream gradient to both endpoints),
 ``node_sums`` (per-edge values -> weighted degrees) and a symmetric
 scatter into a dense matrix, from which the models assemble the operator.
+``cheb_layer`` records a whole Chebyshev layer, sum_k T_k(op) h W_k, as
+one node; its backward runs the adjoint (Clenshaw) recurrence, so the
+operator gets one batched gradient contraction per layer. ``matmul`` and
+``cheb_layer`` skip the gradients of constant operands.
 
 Tapes are single-threaded and meant to live for one training step.
 A tensor refers to its tape only weakly, so a finished step (tape,
@@ -25,6 +29,7 @@ import weakref
 
 import numpy as np
 
+from .chebyshev import cheb_basis
 from .errors import NaNLoss
 
 __all__ = [
@@ -32,7 +37,7 @@ __all__ = [
     "add", "sub", "mul", "div", "neg", "matmul", "transpose2", "reshape",
     "concat", "tsum", "tmean", "relu", "softplus", "texp", "ttanh", "tlog",
     "powc", "take_nodes", "edge_weights", "node_sums", "scatter_sym_dense",
-    "diag_embed",
+    "diag_embed", "cheb_layer",
     "AdamState", "adam_step", "check_finite",
 ]
 
@@ -166,10 +171,11 @@ def matmul(a, b) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = a.data @ b.data
 
-    def vjp(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+    def vjp(g):  # None for a constant operand: its gradient is never read
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+                if b.requires_grad else None)
 
     return _record((a, b), out, vjp)
 
@@ -274,15 +280,25 @@ def take_nodes(a, idx) -> Tensor:
     out = np.take(a.data, idx, axis=-2)
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
-        gat = np.moveaxis(ga, -2, 0)
-        np.add.at(gat, idx, np.moveaxis(g, -2, 0))
-        return (ga,)
+        ga = _scatter_rows(np.swapaxes(g, -1, -2), idx, a.shape[-2])
+        return (np.swapaxes(ga, -1, -2),)
 
     return _record((a,), out, vjp)
 
 
 # --- graph primitives ---
+
+def _scatter_rows(v, idx, n: int) -> np.ndarray:
+    """(..., m) -> (..., n): out[..., i] sums v[..., e] over idx[e] == i, in order of e.
+
+    One ``np.bincount`` over row-offset bins, bit-equal to ``np.add.at``.
+    """
+    lead = v.shape[:-1]
+    rows = int(np.prod(lead, dtype=np.int64))
+    bins = (idx + n * np.arange(rows)[:, None]).ravel()
+    out = np.bincount(bins, weights=v.reshape(rows, -1).ravel(), minlength=rows * n)
+    return out.reshape(lead + (n,))
+
 
 def edge_weights(mu, ei, ej) -> Tensor:
     """Per-edge endpoint averages w_e = (mu_i + mu_j) / 2 on the last axis.
@@ -296,12 +312,9 @@ def edge_weights(mu, ei, ej) -> Tensor:
     out = 0.5 * (np.take(mu.data, ei, axis=-1) + np.take(mu.data, ej, axis=-1))
 
     def vjp(g):
-        gm = np.zeros_like(mu.data)
-        gmt = np.moveaxis(gm, -1, 0)
-        gt = np.moveaxis(g, -1, 0)
-        np.add.at(gmt, ei, 0.5 * gt)
-        np.add.at(gmt, ej, 0.5 * gt)
-        return (gm,)
+        half = 0.5 * g
+        return (_scatter_rows(np.concatenate([half, half], axis=-1),
+                              np.concatenate([ei, ej]), mu.shape[-1]),)
 
     return _record((mu,), out, vjp)
 
@@ -311,11 +324,8 @@ def node_sums(w, ei, ej, n: int) -> Tensor:
     w = _as_tensor(w)
     ei = np.asarray(ei, dtype=np.int64)
     ej = np.asarray(ej, dtype=np.int64)
-    out = np.zeros(w.shape[:-1] + (n,))
-    out_t = np.moveaxis(out, -1, 0)
-    wt = np.moveaxis(w.data, -1, 0)
-    np.add.at(out_t, ei, wt)
-    np.add.at(out_t, ej, wt)
+    out = _scatter_rows(np.concatenate([w.data, w.data], axis=-1),
+                        np.concatenate([ei, ej]), n)
 
     def vjp(g):
         return (np.take(g, ei, axis=-1) + np.take(g, ej, axis=-1),)
@@ -350,6 +360,54 @@ def diag_embed(d) -> Tensor:
         return (g[..., r, r],)
 
     return _record((d,), out, vjp)
+
+
+def cheb_layer(op, h, weights) -> Tensor:
+    """One Chebyshev layer, sum_k T_k(op) h W_k, recorded as a single node.
+
+    ``op`` is (..., n, n), ``h`` (..., n, c_in) and ``weights`` the K + 1
+    (c_in, c_out) matrices. The forward contracts the channel-concatenated
+    terms Z_k = T_k(op) h of ``cheb_basis`` with the stacked weights. The
+    backward runs A_k = G W_k^T + c_{k+1} op^T A_{k+1} - A_{k+2} (c_1 = 1,
+    c_k = 2 for k >= 2) from k = K down; ``h`` gets A_0, ``op`` gets
+    sum_{k>=1} c_k A_k Z_{k-1}^T and W_k gets Z_k^T G.
+    """
+    op, h = _as_tensor(op), _as_tensor(h)
+    weights = [_as_tensor(w) for w in weights]
+    K = len(weights) - 1
+    c_in = h.shape[-1]
+    z = np.concatenate(list(cheb_basis(lambda v: op.data @ v, h.data, K)), axis=-1)
+    w_all = np.concatenate([w.data for w in weights], axis=0)
+    out = z @ w_all
+
+    def vjp(g):
+        gw = z.reshape(-1, z.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        grads = [None, None, *np.split(gw, K + 1)]
+        if not (op.requires_grad or h.requires_grad):
+            return grads
+        # transposed (..., c_in, n) terms, each a contiguous block of rows
+        rows = lambda k: slice(k * c_in, (k + 1) * c_in)
+        b_t = w_all @ np.ascontiguousarray(np.swapaxes(g, -1, -2))   # B^T_0 ... B^T_K
+        scaled_t = np.empty(b_t.shape[:-2] + (K * c_in, b_t.shape[-1]))  # c_k A^T_k, k >= 1
+        a1 = a2 = None                                   # A^T_{k+1}, A^T_{k+2}
+        for k in range(K, -1 if h.requires_grad else 0, -1):
+            if k == K:
+                a = b_t[..., rows(k), :]
+            else:
+                a = scaled_t[..., rows(k), :] @ op.data
+                a += b_t[..., rows(k), :]
+            if k <= K - 2:
+                a -= a2
+            if k >= 1:
+                np.multiply(a, 1.0 if k == 1 else 2.0, out=scaled_t[..., rows(k - 1), :])
+            a1, a2 = a, a1
+        if h.requires_grad:
+            grads[1] = _unbroadcast(np.swapaxes(a1, -1, -2), h.shape)
+        if op.requires_grad and K >= 1:
+            grads[0] = _unbroadcast(np.swapaxes(z[..., :K * c_in] @ scaled_t, -1, -2), op.shape)
+        return grads
+
+    return _record((op, h, *weights), out, vjp)
 
 
 # --- backward pass ---

@@ -5,10 +5,11 @@ Ls = 2 M / lambda_max - I is the operator rescaled so its spectrum lies
 in [-1, 1]. The polynomials are evaluated by the three-term recurrence
 T_0 = I, T_1 = Ls, T_k = 2 Ls T_{k-1} - T_{k-2}, applied directly to X;
 the matrices T_k(Ls) are never materialized, so one application costs
-K matvecs. :func:`cheb_basis` is that recurrence, written once for numpy
-arrays and autodiff tensors alike; :func:`cheb_apply` and the learned
-layers of ``models`` sum its terms. Coefficients are either scalars (pure
-filtering) or (c_in, c_out) matrices (learned layers).
+K matvecs. :func:`cheb_basis` is that recurrence, written once;
+:func:`cheb_apply` sums its terms, and ``autodiff.cheb_layer`` (the
+learned layers of ``models``) keeps them for its adjoint backward.
+Coefficients are either scalars (pure filtering) or (c_in, c_out)
+matrices (learned layers).
 """
 from __future__ import annotations
 
@@ -73,8 +74,7 @@ def cheb_basis(apply, x, K: int):
     """Yield T_0(Ls) x, ..., T_K(Ls) x, where ``apply(z)`` computes Ls z.
 
     ``x`` may be a numpy array or an autodiff tensor; the terms are made
-    lazily, one ``apply`` each from T_1 on, so a consumer that sums them
-    as they come records its operations in recurrence order.
+    lazily, one ``apply`` each from T_1 on.
     """
     yield x
     if K >= 1:

@@ -95,9 +95,14 @@ def cmd_filter(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite.split(",") if args.suite != "all" else sorted(SUITES)
+    names = (sorted(SUITES) if args.suite == "all"
+             else [name.strip() for name in args.suite.split(",")])
+    unknown = [name for name in names if name not in SUITES]
+    if unknown:
+        print(f"unknown suite(s) {unknown}; known: {sorted(SUITES)}", file=sys.stderr)
+        return 2
     reports = []
-    for name in map(str.strip, names):
+    for name in names:
         kwargs = {}
         if name == "star-bounds" and args.n:
             kwargs["ns"] = [int(v) for v in args.n.split(",")]

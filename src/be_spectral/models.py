@@ -13,25 +13,25 @@ replaces each layer with the residual update
 whose antisymmetric part contributes purely imaginary eigenvalues, so
 depth does not blow up hidden norms.
 
-Both layer kinds sum the terms of ``chebyshev.cheb_basis``, the same
-recurrence the numeric filters use. With the symmetric-normalized
-operator the spectrum lives in [0, 2] and the Chebyshev scaling constant
-is exactly 2, so no spectral-radius estimate is needed; the unnormalized
-operator takes lambda_max from a dense symmetric eigenvalue solve
-(``eigvalsh``) on every forward pass, padded by ``LAMBDA_MAX_SLACK`` and
-treated as a constant during differentiation (no gradient flows through
-it).
+Each layer of either kind is one ``autodiff.cheb_layer`` tape node over
+the terms of ``chebyshev.cheb_basis``, the recurrence the numeric filters
+use. With the symmetric-normalized operator the spectrum lives in [0, 2]
+and the Chebyshev scaling constant is exactly 2, so no spectral-radius
+estimate is needed; the unnormalized operator takes lambda_max from a
+dense symmetric eigenvalue solve (``eigvalsh``) on every forward pass,
+padded by ``LAMBDA_MAX_SLACK`` and treated as a constant during
+differentiation (no gradient flows through it).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, asdict
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
 from .be import DEFAULT_MU_FLOOR
-from .chebyshev import LAMBDA_MAX_SLACK, cheb_basis
+from .chebyshev import LAMBDA_MAX_SLACK
 from .errors import IsolatedNodeUnderMu
 from .graphs import Graph
 
@@ -263,10 +263,6 @@ class MuChebNet:
             if norm_trace is not None:
                 norm_trace.append(float(np.linalg.norm(t.data)))
 
-        def cheb_sum(h, weights):  # sum_k T_k(op) h @ weights[k]
-            terms = zip(cheb_basis(lambda z: op @ z, h, len(weights) - 1), weights)
-            return reduce(ad.add, (z @ w for z, w in terms))
-
         c = self.config
         if c.stable:
             h = xs @ bound["enc.W"] + bound["enc.b"]
@@ -275,7 +271,7 @@ class MuChebNet:
             for l in range(c.layers):
                 mats = [bound[f"layer{l}.W{k}"] for k in range(c.K + 1)]
                 effective = [m - ad.transpose2(m) - eye for m in mats]
-                h = h + cheb_sum(h, effective) * c.eps
+                h = h + ad.cheb_layer(op, h, effective) * c.eps
                 if c.post_nonlinearity:
                     h = ad.relu(h)
                 trace(h)
@@ -284,7 +280,7 @@ class MuChebNet:
             trace(h)
             for l in range(c.layers):
                 thetas = [bound[f"layer{l}.theta{k}"] for k in range(c.K + 1)]
-                h = cheb_sum(h, thetas) + bound[f"layer{l}.b"]
+                h = ad.cheb_layer(op, h, thetas) + bound[f"layer{l}.b"]
                 if l < c.layers - 1:
                     h = ad.relu(h)
                 trace(h)

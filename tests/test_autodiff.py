@@ -1,9 +1,12 @@
 """Reverse-mode engine: primitive VJPs vs finite differences, tape semantics, Adam."""
+from functools import reduce
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import be_spectral.autodiff as ad
+from be_spectral.chebyshev import cheb_basis
 from be_spectral.errors import NaNLoss
 from be_spectral.graphs import ring_graph
 from be_spectral.verify import gradcheck_error, numeric_gradient
@@ -82,6 +85,17 @@ class TestPrimitiveGradients:
         check_op(lambda p: ad.tsum(ad.tlog(p["a"]) + ad.powc(p["a"], -0.5)),
                  {"a": (3, 3)}, positive=True)
 
+    def test_matmul_skips_constant_operands(self):
+        tape = ad.Tape()
+        a = tape.leaf(RNG.standard_normal((3, 4, 4)))
+        b = RNG.standard_normal((3, 4, 2))
+        out = a @ ad.constant(b)
+        g = RNG.standard_normal(out.shape)
+        ga, gb = out.vjp(g)
+        assert gb is None
+        npt.assert_array_equal(ga, g @ np.swapaxes(b, -1, -2))
+        assert (ad.constant(a.data[0]) @ tape.leaf(b[1])).vjp(g[0])[0] is None
+
     def test_take_nodes(self):
         idx = np.array([0, 2, 2, 5])  # duplicate row: adjoint must accumulate
         check_op(lambda p: ad.tsum(ad.take_nodes(p["x"], idx)
@@ -136,6 +150,124 @@ class TestGraphPrimitiveSemantics:
         fd = numeric_gradient(lossfn, params, [("mu", i) for i in range(6)])
         for (name, i), v in fd.items():
             assert gradcheck_error(float(grads[mu][i]), v) <= 1e-5
+
+
+class TestScatterMatchesAddAt:
+    """The bincount scatters are bit-equal to the np.add.at form they replace."""
+
+    @staticmethod
+    def edges(seed):
+        # n = 9 nodes, endpoints drawn from 0..5: repeated endpoints and
+        # duplicate edges, and nodes 6..8 isolated
+        rng = np.random.default_rng(seed)
+        ei = rng.integers(0, 6, size=40)
+        ej = rng.integers(0, 6, size=40)
+        return rng, ei, ej, 9
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_edge_weights_vjp(self, seed):
+        rng, ei, ej, n = self.edges(seed)
+        tape = ad.Tape()
+        w = ad.edge_weights(tape.leaf(rng.uniform(0.5, 2.0, (4, n))), ei, ej)
+        g = rng.standard_normal((4, ei.size))
+        ref = np.zeros((n, 4))
+        np.add.at(ref, ei, 0.5 * g.T)
+        np.add.at(ref, ej, 0.5 * g.T)
+        npt.assert_array_equal(w.vjp(g)[0], ref.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_node_sums_forward(self, seed):
+        rng, ei, ej, n = self.edges(seed)
+        w = rng.standard_normal((2, 3, ei.size))
+        ref = np.zeros((n, 2, 3))
+        np.add.at(ref, ei, np.moveaxis(w, -1, 0))
+        np.add.at(ref, ej, np.moveaxis(w, -1, 0))
+        npt.assert_array_equal(ad.node_sums(w, ei, ej, n).data, np.moveaxis(ref, 0, -1))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_take_nodes_vjp(self, seed):
+        rng, ei, _, n = self.edges(seed)
+        tape = ad.Tape()
+        x = tape.leaf(rng.standard_normal((3, n, 2)))
+        out = ad.take_nodes(x, ei)
+        g = rng.standard_normal(out.shape)
+        ref = np.zeros((n, 3, 2))
+        np.add.at(ref, ei, np.moveaxis(g, -2, 0))
+        npt.assert_array_equal(out.vjp(g)[0], np.moveaxis(ref, 0, -2))
+
+    def test_without_edges(self):
+        empty = np.zeros(0, dtype=np.int64)
+        npt.assert_array_equal(ad.node_sums(np.zeros((2, 0)), empty, empty, 4).data,
+                               np.zeros((2, 4)))
+
+
+def cheb_layer_on_tape(op, h, weights):
+    """The per-term reference: every recurrence step recorded on the tape."""
+    terms = zip(cheb_basis(lambda z: op @ z, h, len(weights) - 1), weights)
+    return reduce(ad.add, (z @ w for z, w in terms))
+
+
+class TestChebLayer:
+    @staticmethod
+    def inputs(K, seed=0, b=3, n=7, c_in=4, c_out=5):
+        rng = np.random.default_rng(seed)
+        op = rng.standard_normal((b, n, n))
+        op = op + np.swapaxes(op, -1, -2)
+        op /= np.abs(np.linalg.eigvalsh(op)).max(axis=-1)[:, None, None]  # spectrum in [-1, 1]
+        return (op, rng.standard_normal((b, n, c_in)),
+                [rng.standard_normal((c_in, c_out)) for _ in range(K + 1)])
+
+    @pytest.mark.parametrize("K", [0, 1, 2, 9])
+    @pytest.mark.parametrize("op_leaf", [True, False])
+    @pytest.mark.parametrize("h_leaf", [True, False])
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_matches_tape_recurrence(self, K, op_leaf, h_leaf, stable):
+        op0, h0, w0 = self.inputs(K, seed=K, c_out=4)
+        results = []
+        for layer in (cheb_layer_on_tape, ad.cheb_layer):
+            tape = ad.Tape()
+            op = tape.leaf(op0) if op_leaf else ad.constant(op0)
+            h = tape.leaf(h0) if h_leaf else ad.constant(h0)
+            mats = [tape.leaf(w) for w in w0]
+            if stable:  # the stable variant's W_k - W_k^T - gamma I
+                eye = ad.constant(0.05 * np.eye(4))
+                weights = [m - ad.transpose2(m) - eye for m in mats]
+            else:
+                weights = mats
+            out = layer(op, h, weights)
+            loss = ad.tsum(out * ad.constant(np.sin(out.data)))
+            grads = ad.backward(tape, loss)
+            results.append([out.data] + [grads[leaf] for leaf in tape.leaves()])
+        assert len(results[0]) == 1 + op_leaf + h_leaf + K + 1
+        for ref, got in zip(*results):
+            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+
+    def test_gradcheck(self):
+        def build(p):
+            out = ad.cheb_layer(p["op"], p["h"], [p[f"w{k}"] for k in range(4)])
+            return ad.tsum(out * out)
+        check_op(build, {"op": (2, 5, 5), "h": (2, 5, 3),
+                         **{f"w{k}": (3, 2) for k in range(4)}})
+
+    def test_shared_operator_gradient_sums_over_batch(self):
+        op0, h0, w0 = self.inputs(3)
+        shared = op0[0]
+        results = []
+        for layer in (cheb_layer_on_tape, ad.cheb_layer):
+            tape = ad.Tape()
+            op = tape.leaf(shared)
+            out = layer(op, ad.constant(h0), [ad.constant(w) for w in w0])
+            results.append(ad.backward(tape, ad.tsum(out * out))[op])
+        assert results[1].shape == shared.shape
+        npt.assert_allclose(results[1], results[0], rtol=1e-12, atol=1e-12)
+
+    def test_constant_operands_get_no_gradient(self):
+        op0, h0, w0 = self.inputs(2)
+        tape = ad.Tape()
+        out = ad.cheb_layer(ad.constant(op0), ad.constant(h0), [tape.leaf(w) for w in w0])
+        grads = out.vjp(np.ones(out.shape))
+        assert grads[0] is None and grads[1] is None
+        assert all(g.shape == w.shape for g, w in zip(grads[2:], w0))
 
 
 class TestExports:

@@ -5,7 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import gen_barbell, ring_graph
+from be_spectral import cli, gen_barbell, ring_graph
 from be_spectral.cli import main
 from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 read_csv_matrix, read_edge_list,
@@ -163,6 +163,19 @@ class TestCli:
         assert [r["suite"] for r in reports] == ["factorization", "star-bounds"]
         names = {c["name"] for c in reports[1]["checks"]}
         assert "gap-bound-n5" in names and "gap-bound-n50" not in names
+
+    @pytest.mark.parametrize("suites", ["bogus", "algebra,bogus"])
+    def test_verify_unknown_suite_rejected_before_any_suite_runs(
+            self, tmp_path, capsys, monkeypatch, suites):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ran.append(name))
+        out = tmp_path / "report.json"
+        code = main(["verify", "--suite", suites, "--out", str(out)])
+        assert code == 2
+        assert ran == [] and not out.exists()
+        captured = capsys.readouterr()
+        assert "suite" not in captured.out
+        assert "'bogus'" in captured.err and "algebra" in captured.err
 
 
 class TestTrainEvalExportCli:

@@ -138,6 +138,18 @@ class TestMuChebNetForward:
         assert all(np.abs(grads[k]).max() > 0
                    for k in grads if k.startswith("mu."))
 
+    @pytest.mark.parametrize("stable", [False, True])
+    def test_each_layer_is_one_tape_node(self, stable):
+        b, n = 3, 8
+        model = small_model(stable=stable)
+        tape = ad.Tape()
+        model.forward(tape, context_for(ring_graph(n)), RNG.standard_normal((b, n, 2)))
+        kinds = [node.vjp.__qualname__.split(".")[0] for node in tape._nodes]
+        assert kinds.count("cheb_layer") == 2
+        matmul_operands = [p.shape for node, kind in zip(tape._nodes, kinds)
+                           if kind == "matmul" for p in node.parents]
+        assert matmul_operands and (b, n, n) not in matmul_operands
+
     def test_shape_validation(self):
         model = small_model()
         with pytest.raises(ValueError, match="incompatible"):
