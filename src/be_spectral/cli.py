@@ -66,6 +66,10 @@ def cmd_diffuse(args) -> int:
     if args.f0:
         f0 = read_csv_matrix(args.f0).reshape(-1)
     elif args.delta is not None:
+        if not 0 <= args.delta < g.n:
+            print(f"--delta {args.delta} is not a node of the graph (n={g.n})",
+                  file=sys.stderr)
+            return 2
         f0 = np.zeros(g.n)
         f0[args.delta] = 1.0
     else:

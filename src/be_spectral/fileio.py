@@ -5,37 +5,58 @@ Edge lists are one ``i j`` pair per line (0-based, whitespace separated,
 unless passed explicitly. Signals are plain CSV, one node per row.
 Checkpoints are a JSON manifest plus one raw little-endian float64 blob
 per parameter tensor.
+
+Each text file is parsed by one ``np.loadtxt`` call. The writers format a
+block of rows per ``%`` call and write the bytes of one ``"i j"`` line per
+edge and of ``np.savetxt(fmt="%.17g")``.
 """
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .graphs import Graph, build_graph
 
+_BLOCK_VALUES = 1 << 15  # values formatted per write call; bounds the transient text
+
+
+def _edge_rows(source) -> np.ndarray | None:
+    """(m, 2) int64 pairs from a path or list of lines; None if a line is not 'i j'."""
+    with warnings.catch_warnings():  # no data rows is an empty edge list
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            e = np.loadtxt(source, dtype=np.int64, comments="#", ndmin=2)
+        except ValueError:
+            return None
+    return e.reshape(-1, 2) if e.size == 0 or e.shape[1] == 2 else None
+
 
 def read_edge_list(path, n: int | None = None) -> Graph:
-    edges = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{line_no}: expected 'i j', got {line!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if n is None:
-        if not edges:
-            raise ValueError(f"{path}: empty edge list needs an explicit node count")
-        n = max(max(e) for e in edges) + 1
-    return build_graph(n, edges)
+    e = _edge_rows(path)
+    if e is None:  # rescan only to name the first bad line
+        lines = Path(path).read_text().split("\n")
+        line_no = next(k for k, line in enumerate(lines, 1) if _edge_rows([line]) is None)
+        raise ValueError(f"{path}:{line_no}: expected 'i j', got {lines[line_no - 1]!r}")
+    if n is None and not e.size:
+        raise ValueError(f"{path}: empty edge list needs an explicit node count")
+    return build_graph(int(e.max()) + 1 if n is None else n, e)
+
+
+def _write_rows(path, rows: np.ndarray, row_fmt: str, head: str = "") -> None:
+    """Write ``head`` then ``row_fmt % tuple(row)`` for each row of a 2-D array."""
+    step = max(1, _BLOCK_VALUES // max(rows.shape[1], 1))
+    with open(path, "w") as fh:
+        fh.write(head)
+        for start in range(0, rows.shape[0], step):
+            block = rows[start:start + step]
+            fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def write_edge_list(g: Graph, path) -> None:
-    lines = [f"{i} {j}" for i, j in g.edges]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_rows(path, g.edges, "%d %d\n")
 
 
 def read_csv_matrix(path) -> np.ndarray:
@@ -45,9 +66,13 @@ def read_csv_matrix(path) -> np.ndarray:
 
 
 def write_csv_matrix(arr: np.ndarray, path, header: str | None = None) -> None:
+    """One ``%.17g`` row per node; ``header`` (if any) is the first line, uncommented."""
     arr = np.asarray(arr, dtype=np.float64)
-    np.savetxt(path, arr, delimiter=",", fmt="%.17g",
-               header=header or "", comments="" if header else "# ")
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"expected a 1-D or 2-D array, got {arr.ndim}-D")
+    arr = arr[:, None] if arr.ndim == 1 else arr
+    _write_rows(path, arr, ",".join(["%.17g"] * arr.shape[1]) + "\n",
+                f"{header}\n" if header else "")
 
 
 def save_checkpoint(directory, params: dict, meta: dict | None = None) -> Path:
@@ -73,9 +98,11 @@ def load_checkpoint(directory):
     manifest = json.loads((directory / "manifest.json").read_text())
     params = {}
     for entry in manifest["tensors"]:
-        raw = (directory / entry["file"]).read_bytes()
-        arr = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-        params[entry["name"]] = arr.reshape(entry["shape"])
+        path, shape = directory / entry["file"], tuple(entry["shape"])
+        raw, need = path.read_bytes(), 8 * int(np.prod(shape))
+        if len(raw) != need:
+            raise ValueError(f"{path}: {len(raw)} bytes, shape {shape} needs {need}")
+        params[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     return params, manifest.get("meta", {})
 
 

@@ -58,30 +58,28 @@ def build_graph(n: int, edge_list) -> Graph:
     """Validate, deduplicate and canonically orient an edge list.
 
     Raises ``ValueError`` on out-of-range endpoints or self-loops.
-    Duplicate edges (in either orientation) collapse to one.
+    Duplicate edges (in either orientation) collapse to one. Edge (i, j)
+    is ordered by the int64 key ``i * n + j`` (exact for n < 3e9): one sort
+    of the i < j keys, deduplicated by neighbour comparison, gives ``edges``,
+    and one sort of both orientations' keys gives ``indptr``/``indices``.
     """
     n = int(n)
     if n <= 0:
         raise ValueError(f"node count must be positive, got {n}")
-    e = np.asarray(list(edge_list), dtype=np.int64).reshape(-1, 2)
+    e = edge_list if isinstance(edge_list, np.ndarray) else list(edge_list)
+    e = np.asarray(e, dtype=np.int64).reshape(-1, 2)
     if e.size and (e.min() < 0 or e.max() >= n):
         bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
         raise ValueError(f"edge {tuple(bad)} has endpoint outside [0, {n})")
     if e.size and (e[:, 0] == e[:, 1]).any():
         i = int(e[e[:, 0] == e[:, 1]][0, 0])
         raise ValueError(f"self-loop at node {i} is not allowed")
-    if e.size:
-        canon = np.stack([e.min(axis=1), e.max(axis=1)], axis=1)
-        canon = np.unique(canon, axis=0)  # sorts lexicographically
-    else:
-        canon = np.empty((0, 2), dtype=np.int64)
-
-    both = np.concatenate([canon, canon[:, ::-1]], axis=0)
-    order = np.lexsort((both[:, 1], both[:, 0]))
-    both = both[order]
-    counts = np.bincount(both[:, 0], minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = np.ascontiguousarray(both[:, 1])
+    key = np.sort(np.minimum(e[:, 0], e[:, 1]) * n + np.maximum(e[:, 0], e[:, 1]))
+    key = key[np.diff(key, prepend=-1) != 0]
+    canon = np.stack([key // n, key % n], axis=1)
+    both = np.sort(np.concatenate([key, canon[:, 1] * n + canon[:, 0]]))
+    indptr = np.searchsorted(both, np.arange(n + 1, dtype=np.int64) * n)
+    indices = both % n
 
     for a in (canon, indptr, indices):
         a.setflags(write=False)

@@ -185,8 +185,18 @@ class MuChebNet:
         return {k: tape.leaf(v, name=k) for k, v in self.params.items()}
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
-        for k in self.params:
-            self.params[k] = np.array(values[k], dtype=np.float64)
+        """Replace every parameter; names and shapes are checked before any is set."""
+        missing = sorted(set(self.params) - set(values))
+        extra = sorted(set(values) - set(self.params))
+        if missing or extra:
+            raise ValueError(f"parameter names do not match the model: missing {missing}, "
+                             f"extra {extra}")
+        loaded = {k: np.array(values[k], dtype=np.float64) for k in self.params}
+        for k, v in loaded.items():
+            if v.shape != self.params[k].shape:
+                raise ValueError(f"parameter {k!r} has shape {v.shape}, the model needs "
+                                 f"{self.params[k].shape}")
+        self.params.update(loaded)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}

@@ -1,11 +1,12 @@
 """File formats and the command-line surface."""
 import json
+import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import cli, gen_barbell, ring_graph
+from be_spectral import build_graph, cli, fileio, gen_barbell, ring_graph
 from be_spectral.cli import main
 from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 read_csv_matrix, read_edge_list,
@@ -38,6 +39,41 @@ class TestEdgeListFormat:
         with pytest.raises(ValueError, match="expected"):
             read_edge_list(path)
 
+    @pytest.mark.parametrize("bad", ["1 2 3", "4", "1 2.0", "1e3 2", "0x10 1", "a b"])
+    def test_bad_line_is_named_by_number(self, tmp_path, bad):
+        path = tmp_path / "g.edges"
+        path.write_text(f"# header\n0 1\n{bad}  # note\n2 3\n")
+        with pytest.raises(ValueError) as err:
+            read_edge_list(path)
+        assert str(err.value) == f"{path}:3: expected 'i j', got {bad + '  # note'!r}"
+
+    @pytest.mark.parametrize("text", ["", "# only a comment\n\n   \n"])
+    def test_file_without_edges(self, tmp_path, text):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty file is not a warning
+            g = read_edge_list(path, n=3)
+        assert (g.n, g.m) == (3, 0)
+        assert g.edges.shape == (0, 2) and list(g.indptr) == [0, 0, 0, 0]
+        with pytest.raises(ValueError, match="explicit node count"):
+            read_edge_list(path)
+
+    def test_golden_bytes(self, tmp_path):
+        path = tmp_path / "g.edges"
+        write_edge_list(build_graph(5, [(3, 1), (0, 4), (1, 3), (2, 0)]), path)
+        assert path.read_bytes() == b"0 2\n0 4\n1 3\n"
+        write_edge_list(build_graph(3, []), path)
+        assert path.read_bytes() == b""
+
+    def test_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_VALUES", 6)
+        g = ring_graph(11)
+        path = tmp_path / "g.edges"
+        write_edge_list(g, path)
+        assert path.read_text() == "".join(f"{i} {j}\n" for i, j in g.edges)
+        npt.assert_array_equal(read_edge_list(path).edges, g.edges)
+
 
 class TestCsvAndCheckpoints:
     def test_csv_roundtrip(self, tmp_path):
@@ -45,6 +81,33 @@ class TestCsvAndCheckpoints:
         path = tmp_path / "x.csv"
         write_csv_matrix(arr, path)
         npt.assert_allclose(read_csv_matrix(path), arr, atol=0)
+
+    @pytest.mark.parametrize("arr, header, golden", [
+        (np.array([0.1, -0.0, np.nan, np.inf, -np.inf, 1e-300, 2.0]), None,
+         b"0.10000000000000001\n-0\nnan\ninf\n-inf\n1e-300\n2\n"),
+        (np.array([[0.0, 1.5], [1.0, 1 / 3], [2.0, -2e20]]), "k,lambda",
+         b"k,lambda\n0,1.5\n1,0.33333333333333331\n2,-2e+20\n"),
+        (np.array([[1.0, np.nan], [-0.0, 5e-324]]), "",
+         b"1,nan\n-0,4.9406564584124654e-324\n"),
+        (np.zeros((0, 2)), "a,b", b"a,b\n"),
+    ])
+    def test_csv_golden_bytes(self, tmp_path, arr, header, golden):
+        path = tmp_path / "x.csv"
+        write_csv_matrix(arr, path, header=header)
+        assert path.read_bytes() == golden
+
+    def test_csv_blocks_join_seamlessly(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK_VALUES", 7)
+        arr = np.random.default_rng(2).standard_normal((10, 3))
+        path = tmp_path / "x.csv"
+        write_csv_matrix(arr, path)
+        assert path.read_text() == "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in arr)
+
+    @pytest.mark.parametrize("arr", [np.float64(1.0), np.zeros((2, 2, 2))])
+    def test_csv_rejects_0d_and_3d(self, tmp_path, arr):
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            write_csv_matrix(arr, tmp_path / "x.csv")
 
     def test_checkpoint_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -57,6 +120,13 @@ class TestCsvAndCheckpoints:
         assert set(loaded) == set(params)
         for k in params:
             npt.assert_array_equal(loaded[k], params[k])
+
+    def test_checkpoint_blob_of_wrong_size(self, tmp_path):
+        save_checkpoint(tmp_path / "ckpt", {"a": np.zeros((2, 3)), "b": np.ones(4)})
+        blob = tmp_path / "ckpt" / "param_0000.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="param_0000.bin: 40 bytes, shape \\(2, 3\\) needs 48"):
+            load_checkpoint(tmp_path / "ckpt")
 
     def test_instance_dump(self, tmp_path):
         inst = gen_barbell(3, 2, seed=0)
@@ -107,6 +177,17 @@ class TestCli:
         npt.assert_allclose(f, np.full(6, 1 / 6), atol=1e-8)
         assert main(["diffuse", "--graph", str(gpath), "--t", "1.0",
                      "--out", str(out)]) == 2  # no initial condition given
+
+    @pytest.mark.parametrize("delta", ["-1", "6"])
+    def test_diffuse_delta_outside_graph(self, tmp_path, capsys, delta):
+        gpath = tmp_path / "g.edges"
+        write_edge_list(ring_graph(6), gpath)
+        out = tmp_path / "f.csv"
+        assert main(["diffuse", "--graph", str(gpath), "--t", "1.0",
+                     "--delta", delta, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"--delta {delta}" in err and "n=6" in err
 
     def test_filter_command(self, tmp_path):
         g = ring_graph(5)

@@ -18,7 +18,40 @@ def edge_sets(max_n=12):
                      .filter(lambda e: e[0] != e[1]), min_size=1, max_size=3 * n)))
 
 
+def reference_canonical(n, edges):
+    """Canonical (edges, indptr, indices) by row-wise unique and lexsort."""
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    canon = np.unique(np.stack([e.min(axis=1), e.max(axis=1)], axis=1), axis=0)
+    both = np.concatenate([canon, canon[:, ::-1]], axis=0)
+    both = both[np.lexsort((both[:, 1], both[:, 0]))]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(both[:, 0], minlength=n))])
+    return canon, indptr, both[:, 1]
+
+
 class TestBuildGraph:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("form", ["ndarray", "tuples", "generator"])
+    def test_matches_reference_canonicalization(self, seed, form):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        e = rng.integers(0, n - n // 4, size=(int(rng.integers(1, 4 * n)), 2))
+        e = e[e[:, 0] != e[:, 1]]            # top quarter of the nodes stays isolated
+        e = np.concatenate([e, e[:, ::-1], e[: len(e) // 2]])  # both orientations, repeats
+        e = e[rng.permutation(len(e))]
+        edges = {"ndarray": e, "tuples": [tuple(r) for r in e.tolist()],
+                 "generator": (tuple(r) for r in e.tolist())}[form]
+        g = build_graph(n, edges)
+        for got, want in zip((g.edges, g.indptr, g.indices), reference_canonical(n, e)):
+            assert got.dtype == np.int64
+            npt.assert_array_equal(got, want)
+        assert (g.degrees[n - n // 4:] == 0).all()
+
+    def test_empty_edge_list(self):
+        g = build_graph(3, np.empty((0, 2), dtype=np.int64))
+        assert g.edges.shape == (0, 2) and g.edges.dtype == np.int64
+        npt.assert_array_equal(g.indptr, [0, 0, 0, 0])
+        assert g.indices.size == 0
+
     def test_smallest(self):
         g = build_graph(2, [(0, 1)])
         assert g.m == 1 and g.n == 2

@@ -6,6 +6,7 @@ import pytest
 import be_spectral.autodiff as ad
 from be_spectral import barbell_graph, build_be, build_graph, ring_graph
 from be_spectral.chebyshev import LAMBDA_MAX_SLACK
+from be_spectral.fileio import load_checkpoint, save_checkpoint
 from be_spectral.models import (ModelConfig, MuChebNet, MuConfig, accuracy,
                                 context_for, cross_entropy_loss, log10_mse,
                                 mse_loss)
@@ -324,3 +325,32 @@ class TestConfigSerialization:
             ModelConfig(readout="bogus")
         with pytest.raises(ValueError, match="layer"):
             ModelConfig(layers=0)
+
+
+class TestLoadParams:
+    def test_checkpoint_roundtrip(self, tmp_path):
+        source = small_model()
+        source.params["readout.W"] = RNG.standard_normal(source.params["readout.W"].shape)
+        save_checkpoint(tmp_path / "ckpt", source.params)
+        target = small_model()
+        target.load_params(load_checkpoint(tmp_path / "ckpt")[0])
+        for k, v in source.params.items():
+            npt.assert_array_equal(target.params[k], v)
+        assert target.parameterizer.params is target.params
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("readout.b"), r"missing \['readout.b'\], extra \[\]"),
+        (lambda p: p.update(bogus=np.zeros(2)), r"missing \[\], extra \['bogus'\]"),
+        (lambda p: p.update({"readout.W": np.zeros((7, 7))}),
+         r"'readout.W' has shape \(7, 7\), the model needs \(4, 1\)"),
+    ])
+    def test_mismatch_rejected_before_any_assignment(self, edit, message):
+        model = small_model()
+        before = model.snapshot()
+        values = {k: v + 1.0 for k, v in before.items()}
+        edit(values)
+        with pytest.raises(ValueError, match=message):
+            model.load_params(values)
+        assert set(model.params) == set(before)
+        for k, v in before.items():
+            npt.assert_array_equal(model.params[k], v)
