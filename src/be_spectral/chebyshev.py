@@ -10,6 +10,11 @@ K matvecs. :func:`cheb_basis` is that recurrence, written once;
 learned layers of ``models``) keeps them for its adjoint backward.
 Coefficients are either scalars (pure filtering) or (c_in, c_out)
 matrices (learned layers).
+
+lambda_max only maps the spectrum into [-1, 1], so :func:`cheb_apply_be`
+pads an estimate: the Lanczos value of ``spectral.lambda_max_power``
+(relative error at most 1e-12; the run stops once the top Ritz value,
+not its residual, has converged) times :data:`LAMBDA_MAX_SLACK`.
 """
 from __future__ import annotations
 
@@ -120,7 +125,9 @@ def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
 
     ``kind`` selects the raw operator or its symmetric normalization. When
     the filter carries no lambda_max, the spectral radius is estimated by
-    Lanczos iteration and padded by :data:`LAMBDA_MAX_SLACK`.
+    Lanczos iteration, floored at 1e-12 (an edgeless graph has L_mu = 0,
+    which scales to -I for any positive value) and padded by
+    :data:`LAMBDA_MAX_SLACK`.
     """
     if kind == "unnormalized":
         op = be.operator()
@@ -131,7 +138,7 @@ def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
     if filt.lambda_max is not None:
         lam = filt.lambda_max
     else:
-        lam = LAMBDA_MAX_SLACK * lambda_max_power(op, iters=5000, tol=1e-12)
+        lam = LAMBDA_MAX_SLACK * max(lambda_max_power(op, iters=5000, tol=1e-12), 1e-12)
     return cheb_apply(ChebFilter(filt.coefficients, lam), op, x)
 
 

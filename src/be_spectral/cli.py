@@ -25,13 +25,28 @@ from .tasks import gen_barbell, gen_graph_property, gen_ring_routing
 from .verify import SUITES, run_suite
 
 
+class _InputError(Exception):
+    """An input file that cannot be used; :func:`main` prints it and returns 2."""
+
+
 def _load_graph_mu(args):
-    g = read_edge_list(args.graph)
+    try:
+        g = read_edge_list(args.graph)
+    except ValueError as exc:  # malformed edge list; the message names the file
+        raise _InputError(f"--graph {exc}") from None
     if getattr(args, "mu", None):
-        mu = read_csv_matrix(args.mu).reshape(-1)
+        mu = _node_values(args.mu, "--mu", g.n)
     else:
         mu = np.ones(g.n)
     return g, build_be(g, mu)
+
+
+def _node_values(path, flag: str, n: int) -> np.ndarray:
+    """One value per node from a CSV file; its size must match the graph."""
+    values = read_csv_matrix(path).reshape(-1)
+    if values.size != n:
+        raise _InputError(f"{flag} {path} has {values.size} values, the graph has n={n}")
+    return values
 
 
 def cmd_gen(args) -> int:
@@ -64,7 +79,7 @@ def cmd_spectrum(args) -> int:
 def cmd_diffuse(args) -> int:
     g, be = _load_graph_mu(args)
     if args.f0:
-        f0 = read_csv_matrix(args.f0).reshape(-1)
+        f0 = _node_values(args.f0, "--f0", g.n)
     elif args.delta is not None:
         if not 0 <= args.delta < g.n:
             print(f"--delta {args.delta} is not a node of the graph (n={g.n})",
@@ -91,6 +106,8 @@ def cmd_filter(args) -> int:
             return 2
     filt = ChebFilter(list(coeffs))
     x = read_csv_matrix(args.X)
+    if x.shape[0] != g.n:
+        raise _InputError(f"--X {args.X} has {x.shape[0]} rows, the graph has n={g.n}")
     y = cheb_apply_be(filt, be, x,
                       kind="symmetric" if args.normalized else "unnormalized")
     write_csv_matrix(y, args.out)
@@ -263,7 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -42,7 +42,10 @@ def read_edge_list(path, n: int | None = None) -> Graph:
         raise ValueError(f"{path}:{line_no}: expected 'i j', got {lines[line_no - 1]!r}")
     if n is None and not e.size:
         raise ValueError(f"{path}: empty edge list needs an explicit node count")
-    return build_graph(int(e.max()) + 1 if n is None else n, e)
+    try:
+        return build_graph(int(e.max()) + 1 if n is None else n, e)
+    except ValueError as exc:  # endpoint out of range or a self-loop
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _write_rows(path, rows: np.ndarray, row_fmt: str, head: str = "") -> None:

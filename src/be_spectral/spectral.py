@@ -71,11 +71,17 @@ def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> 
     """Largest eigenvalue of a symmetric operator by Lanczos iteration.
 
     Starts from a fixed seeded vector and reorthogonalizes every new basis
-    vector against the whole basis. Converged when the top Ritz pair's
-    residual |beta_k s_k| is at most tol * theta; ``iters`` caps the
-    matvecs. After :data:`LANCZOS_RESTART` steps the basis restarts from
-    the top Ritz vector. On non-convergence a warning is logged and, below
-    n = 512, the dense eigensolver supplies the value instead.
+    vector against the whole basis. ``tol`` bounds the relative error of
+    the returned value: the run stops when min(r, r^2 / gap) <= tol * theta,
+    where r = |beta_k s_k| is the top Ritz pair's residual and gap the
+    distance from the top Ritz value theta to the next one (a Ritz value
+    errs by at most r^2 over its gap, Kato-Temple). The Ritz gap stands in
+    for the unknown eigenvalue gap, and both assume the Krylov space
+    already holds the top eigenvector, so at loose tolerances (1e-6 and
+    above) a run can still stop on the second eigenvalue. ``iters`` caps
+    the matvecs. After :data:`LANCZOS_RESTART` steps the basis restarts
+    from the top Ritz vector. On non-convergence a warning is logged and,
+    below n = 512, the dense eigensolver supplies the value instead.
     """
     n = op.n
     if n == 0:
@@ -83,10 +89,11 @@ def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> 
     rng = np.random.default_rng(0x5EED)
     v = rng.standard_normal(n)
     basis = np.empty((0, n))
-    alphas, betas = [], []
+    # the Lanczos tridiagonal; step k reads its leading (k+1, k+1) block
+    tri = np.zeros((LANCZOS_RESTART, LANCZOS_RESTART))
+    k = 0
     theta = 0.0
     for _ in range(iters):
-        k = len(alphas)
         if k == 0:
             v /= np.linalg.norm(v)
         if k == basis.shape[0]:  # grow with the steps taken, up to the cap
@@ -95,21 +102,26 @@ def lambda_max_power(op: SymOperator, iters: int = 2000, tol: float = 1e-10) -> 
             basis = grown
         basis[k] = v
         w = op.matvec(v)
-        alphas.append(float(v @ w))
+        tri[k, k] = v @ w
         q = basis[:k + 1]
         for _ in range(2):  # full reorthogonalization; twice is enough
             w -= q.T @ (q @ w)
         beta = float(np.linalg.norm(w))
-        ritz, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        ritz, s = np.linalg.eigh(tri[:k + 1, :k + 1])
         theta = float(ritz[-1])
-        if abs(beta * s[-1, -1]) <= tol * max(abs(theta), 1e-300):
+        err = abs(beta * s[-1, -1])
+        gap = theta - float(ritz[-2]) if k else 0.0
+        if gap > err:  # then r^2 / gap < r
+            err *= err / gap
+        if err <= tol * max(abs(theta), 1e-300):
             return theta
         if k + 1 == LANCZOS_RESTART:
             v = q.T @ s[:, -1]
-            alphas, betas = [], []
+            k = 0
         else:
             v = w / beta
-            betas.append(beta)
+            tri[k + 1, k] = tri[k, k + 1] = beta
+            k += 1
     log.warning("Lanczos iteration did not converge in %d matvecs (n=%d)", iters, n)
     if n < 512:
         return float(eig_sym(op).eigenvalues[-1])

@@ -196,6 +196,14 @@ class TestChebApplyBE:
                                   be.operator(), x)
         assert np.abs(y - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
+    def test_edgeless_graph(self):
+        # L_mu = 0 scales to -I for any positive lambda_max, so T_k(Ls) = (-1)^k I
+        coeffs = [1.0, 0.5, -0.25, 2.0]
+        x = np.random.default_rng(17).standard_normal((5, 2))
+        y = cheb_apply_be(ChebFilter(coeffs), build_be(build_graph(5, []), np.ones(5)), x)
+        npt.assert_allclose(y, sum(c * (-1) ** k for k, c in enumerate(coeffs)) * x,
+                            rtol=0, atol=1e-14)
+
     def test_normalized_kind(self):
         rng = np.random.default_rng(10)
         g = random_graph(rng, connected=True)

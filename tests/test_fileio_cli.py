@@ -205,6 +205,33 @@ class TestCli:
                      "--coeffs", str(tmp_path / "theta.csv"), "--K", "3",
                      "--X", str(tmp_path / "x.csv"), "--out", str(out)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--mu", "--f0", "--X"])
+    def test_signal_file_of_the_wrong_size(self, tmp_path, capsys, flag):
+        gpath, five = tmp_path / "g.edges", tmp_path / "five.csv"
+        write_edge_list(ring_graph(6), gpath)
+        write_csv_matrix(np.ones(5), five)
+        write_csv_matrix(np.ones(2), tmp_path / "theta.csv")
+        out = tmp_path / "out.csv"
+        argv = {"--mu": ["spectrum", "--mu", str(five)],
+                "--f0": ["diffuse", "--t", "1.0", "--f0", str(five)],
+                "--X": ["filter", "--coeffs", str(tmp_path / "theta.csv"),
+                        "--X", str(five)]}[flag]
+        assert main(argv + ["--graph", str(gpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"{flag} {five} has 5" in err and "n=6" in err
+
+    @pytest.mark.parametrize("text", ["0 1\n1 x\n", "0 1\n1 1\n"])
+    def test_malformed_edge_list(self, tmp_path, capsys, text):
+        gpath = tmp_path / "g.edges"
+        gpath.write_text(text)
+        out = tmp_path / "spec.csv"
+        assert main(["spectrum", "--graph", str(gpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--graph {gpath}" in err
+
     def test_gen_command(self, tmp_path):
         out = tmp_path / "data"
         assert main(["gen", "--task", "barbell", "--n", "12", "--count", "3",

@@ -11,7 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import (SymOperator, build_be, eig_sym, lambda_max_power,
+from be_spectral import (SymOperator, build_be, build_graph, eig_sym, lambda_max_power,
                          laplacian, rayleigh, rayleigh_factorization_check,
                          ring_graph, star_graph, star_spectral_check,
                          variation_profile, four_ring_showcase)
@@ -181,6 +181,29 @@ class TestLambdaMaxPower:
         assert peak < 0.15 * iters * n * 8
         lam_true = 2.0 - 2.0 * np.cos(np.pi * (n - 1) / n)
         assert 0.999 * lam_true <= lam <= lam_true * (1 + 1e-12)
+
+    def test_tol_bounds_relative_error(self):
+        # every third graph is the disjoint union of two, so some operators
+        # are block diagonal; mu alternates uniform and heavy-tailed
+        rng = np.random.default_rng(31)
+        for i in range(240):
+            g = random_graph(rng, n_min=2, n_max=300)
+            if i % 3 == 2:
+                h = random_graph(rng, n_min=2, n_max=150)
+                g = build_graph(g.n + h.n, np.concatenate([g.edges, h.edges + g.n]))
+            mu = rng.uniform(0.1, 2.0, g.n) if i % 2 else rng.lognormal(0.0, 2.0, g.n)
+            op = build_be(g, mu).operator()
+            lam_true = np.linalg.eigvalsh(op.dense())[-1]
+            for tol in (1e-6, 1e-10, 1e-12):
+                err = abs(lambda_max_power(op, tol=tol) - lam_true)
+                assert err <= tol * lam_true, (i, g.n, tol, err / lam_true)
+
+    def test_stops_once_the_ritz_value_converges(self, large_edge_operator, monkeypatch):
+        # stopping on the residual |beta_k s_k| alone took 48 matvecs here
+        op, _ = large_edge_operator
+        calls = count_matvecs(monkeypatch)
+        lambda_max_power(op, iters=5000, tol=1e-12)
+        assert len(calls) <= 36
 
 
 class TestVariationProfile:
