@@ -29,11 +29,15 @@ class _InputError(Exception):
     """An input file that cannot be used; :func:`main` prints it and returns 2."""
 
 
-def _load_graph_mu(args):
+def _read_graph(path):
     try:
-        g = read_edge_list(args.graph)
+        return read_edge_list(path)
     except ValueError as exc:  # malformed edge list; the message names the file
         raise _InputError(f"--graph {exc}") from None
+
+
+def _load_graph_mu(args):
+    g = _read_graph(args.graph)
     if getattr(args, "mu", None):
         mu = _node_values(args.mu, "--mu", g.n)
     else:
@@ -47,6 +51,14 @@ def _node_values(path, flag: str, n: int) -> np.ndarray:
     if values.size != n:
         raise _InputError(f"{flag} {path} has {values.size} values, the graph has n={n}")
     return values
+
+
+def _node_rows(path, n: int) -> np.ndarray:
+    """The ``--X`` feature matrix; it needs one row per node."""
+    x = read_csv_matrix(path)
+    if x.shape[0] != n:
+        raise _InputError(f"--X {path} has {x.shape[0]} rows, the graph has n={n}")
+    return x
 
 
 def cmd_gen(args) -> int:
@@ -105,9 +117,7 @@ def cmd_filter(args) -> int:
                   file=sys.stderr)
             return 2
     filt = ChebFilter(list(coeffs))
-    x = read_csv_matrix(args.X)
-    if x.shape[0] != g.n:
-        raise _InputError(f"--X {args.X} has {x.shape[0]} rows, the graph has n={g.n}")
+    x = _node_rows(args.X, g.n)
     y = cheb_apply_be(filt, be, x,
                       kind="symmetric" if args.normalized else "unnormalized")
     write_csv_matrix(y, args.out)
@@ -178,10 +188,11 @@ def cmd_export_mu(args) -> int:
     if model.parameterizer is None:
         print("checkpoint has no potential parameterizer", file=sys.stderr)
         return 2
-    g = read_edge_list(args.graph)
-    x = read_csv_matrix(args.X)
-    if x.ndim == 1:
-        x = x[:, None]
+    g = _read_graph(args.graph)
+    x = _node_rows(args.X, g.n).reshape(g.n, -1)
+    if x.shape[1] != model.in_dim:
+        raise _InputError(f"--X {args.X} has {x.shape[1]} columns, the checkpoint "
+                          f"needs in_dim={model.in_dim}")
     tape = ad.Tape()
     _, mu = model.forward(tape, context_for(g), x)
     mu = mu.data.reshape(-1)

@@ -21,6 +21,9 @@ estimate is needed; the unnormalized operator takes lambda_max from a
 dense symmetric eigenvalue solve (``eigvalsh``) on every forward pass,
 padded by ``LAMBDA_MAX_SLACK`` and treated as a constant during
 differentiation (no gradient flows through it).
+
+The plain ChebNet (``mu = None``) runs the same assembly on mu = 1, where
+every edge weight is 1 and the operator is the combinatorial Laplacian.
 """
 from __future__ import annotations
 
@@ -34,6 +37,7 @@ from .be import DEFAULT_MU_FLOOR
 from .chebyshev import LAMBDA_MAX_SLACK
 from .errors import IsolatedNodeUnderMu
 from .graphs import Graph
+from .operators import SymOperator
 
 
 @dataclass
@@ -95,10 +99,9 @@ class GraphContext:
         self.ei = graph.edges[:, 0]
         self.ej = graph.edges[:, 1]
         self.degrees = graph.degrees.astype(np.float64)
-        self.adjacency = graph.adjacency_dense()
-        d_hat = self.degrees + 1.0
-        r = 1.0 / np.sqrt(d_hat)
-        self.gcn_prop = r[:, None] * (self.adjacency + np.eye(self.n)) * r[None, :]
+        r = 1.0 / np.sqrt(self.degrees + 1.0)  # D_hat^{-1/2} (A + I) D_hat^{-1/2}
+        self.gcn_prop = SymOperator.from_edges(self.n, graph.edges, r[self.ei] * r[self.ej],
+                                               r * r).dense()
 
 
 @lru_cache(maxsize=256)
@@ -145,9 +148,10 @@ class MuParameterizer:
 class MuChebNet:
     """Chebyshev spectral network over a learned potential-weighted operator.
 
-    With ``config.mu = None`` this is a plain ChebNet on the fixed graph
-    operator; with ``config.stable = True`` layers use the antisymmetric
-    residual update instead of fresh filter banks.
+    With ``config.mu = None`` this is a plain ChebNet on the combinatorial
+    Laplacian (the same operator at mu = 1); with ``config.stable = True``
+    layers use the antisymmetric residual update instead of fresh filter
+    banks.
     """
 
     def __init__(self, in_dim: int, config: ModelConfig, seed: int = 0):
@@ -203,18 +207,6 @@ class MuChebNet:
 
     # --- operator assembly ---
 
-    def _fixed_operator(self, ctx: GraphContext, lambda_max) -> np.ndarray:
-        """Scaled operator for the mu-free model (plain numpy constant)."""
-        if self.config.operator == "sym":
-            if (ctx.degrees <= 0.0).any():
-                raise IsolatedNodeUnderMu("graph has an isolated node")
-            r = 1.0 / np.sqrt(ctx.degrees)
-            return -(r[:, None] * ctx.adjacency * r[None, :])  # L_sym - I
-        lap = np.diag(ctx.degrees) - ctx.adjacency
-        if lambda_max is None:
-            lambda_max = LAMBDA_MAX_SLACK * max(np.linalg.eigvalsh(lap)[-1], 1e-12)
-        return 2.0 / float(lambda_max) * lap - np.eye(ctx.n)
-
     def _mu_operator(self, ctx: GraphContext, mu: ad.Tensor, lambda_max):
         """Differentiable scaled operator built from the potential."""
         b = mu.shape[0]
@@ -243,15 +235,13 @@ class MuChebNet:
                 norm_trace: list | None = None):
         """Run the network; returns (predictions, potential-or-None).
 
-        ``x`` is (B, n, c) or a single instance (n, c); a missing feature
-        matrix falls back to the degree scalar. ``lambda_max`` freezes the
-        spectral-radius constant (useful for finite-difference checks);
-        by default it is recomputed each forward pass in ``unnorm`` mode.
+        ``x`` is (B, n, c) or a single instance (n, c). ``lambda_max``
+        freezes the spectral-radius constant (useful for finite-difference
+        checks); by default it is recomputed each forward pass in ``unnorm``
+        mode.
         ``norm_trace`` collects the hidden-state norm after the encoder and
         after every layer (stability diagnostics).
         """
-        if x is None:
-            x = ctx.degrees[:, None]
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 2
         if single:
@@ -266,8 +256,8 @@ class MuChebNet:
         if self.parameterizer is not None:
             mu = self.parameterizer.forward(bound, ctx, xs)
             op = self._mu_operator(ctx, mu, lambda_max)
-        else:
-            op = ad.constant(self._fixed_operator(ctx, lambda_max))
+        else:  # constant: folded without tape nodes, broadcast over the batch
+            op = self._mu_operator(ctx, ad.constant(np.ones((1, ctx.n, 1))), lambda_max)
 
         def trace(t):
             if norm_trace is not None:
@@ -323,20 +313,10 @@ def mse_loss(pred: ad.Tensor, target, mask=None) -> ad.Tensor:
     if mask is None:
         return ad.tmean(sq)
     mask = np.asarray(mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
+    if not mask.any():
         raise ValueError("mask selects no nodes")
-    if pred.data.ndim == 3:
-        b, _, ch = pred.data.shape
-        weights = mask.astype(np.float64)
-        if weights.ndim == 1:
-            weights = np.broadcast_to(weights, (b, weights.shape[0]))
-            total = count * b * ch
-        else:
-            total = count * ch
-        return ad.tsum(sq * ad.constant(weights[:, :, None])) * (1.0 / total)
-    weights = mask.astype(np.float64)[:, None]
-    return ad.tsum(sq * ad.constant(weights)) * (1.0 / (count * pred.data.shape[-1]))
+    w = np.broadcast_to(mask[..., None], sq.shape).astype(float)
+    return ad.tsum(sq * ad.constant(w)) * (1.0 / w.sum())
 
 
 def cross_entropy_loss(logits: ad.Tensor, labels) -> ad.Tensor:

@@ -8,6 +8,7 @@ import pytest
 
 from be_spectral import build_graph, cli, fileio, gen_barbell, ring_graph
 from be_spectral.cli import main
+from be_spectral.models import ModelConfig, MuChebNet
 from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 read_csv_matrix, read_edge_list,
                                 save_checkpoint, write_csv_matrix,
@@ -330,3 +331,32 @@ class TestTrainEvalExportCli:
         assert mu.shape == (12,) and (mu > 0).all()
         manifest = json.loads((tmp_path / "mu.csv.manifest.json").read_text())
         assert "mu_mean_bridge" in manifest
+
+
+class TestExportMuInputErrors:
+    @pytest.mark.parametrize("case", ["graph", "rows", "columns"])
+    def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, case):
+        cfg = ModelConfig(layers=1, K=2, hidden=4)
+        model = MuChebNet(1, cfg, seed=0)
+        ckpt = save_checkpoint(tmp_path / "ckpt", model.params,
+                               meta={"model": cfg.to_dict(), "in_dim": 1, "seed": 0})
+        gpath, xpath = tmp_path / "g.edges", tmp_path / "x.csv"
+        write_edge_list(ring_graph(6), gpath)
+        if case == "graph":
+            gpath.write_text("0 1\n1 x\n")
+            write_csv_matrix(np.ones(6), xpath)
+            expected = [f"--graph {gpath}"]
+        elif case == "rows":
+            write_csv_matrix(np.ones(5), xpath)
+            expected = [f"--X {xpath} has 5 rows", "n=6"]
+        else:
+            write_csv_matrix(np.ones((6, 2)), xpath)
+            expected = [f"--X {xpath} has 2 columns", "in_dim=1"]
+        out = tmp_path / "mu.csv"
+        assert main(["export-mu", "--checkpoint", str(ckpt), "--graph", str(gpath),
+                     "--X", str(xpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "mu.csv.manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert all(part in err for part in expected), err

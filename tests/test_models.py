@@ -6,7 +6,9 @@ import pytest
 import be_spectral.autodiff as ad
 from be_spectral import barbell_graph, build_be, build_graph, ring_graph
 from be_spectral.chebyshev import LAMBDA_MAX_SLACK
+from be_spectral.errors import IsolatedNodeUnderMu
 from be_spectral.fileio import load_checkpoint, save_checkpoint
+from be_spectral.graphs import laplacian
 from be_spectral.models import (ModelConfig, MuChebNet, MuConfig, accuracy,
                                 context_for, cross_entropy_loss, log10_mse,
                                 mse_loss)
@@ -354,3 +356,70 @@ class TestLoadParams:
         assert set(model.params) == set(before)
         for k, v in before.items():
             npt.assert_array_equal(model.params[k], v)
+
+
+def _plain_operator_reference(g, operator):
+    """The mu-free scaled operator as a separate numpy formula: L_sym - I or 2 L / lambda_max - I."""
+    lap = laplacian(g).dense()
+    if operator == "sym":
+        deg = np.diag(lap)
+        r = 1.0 / np.sqrt(deg)
+        return -(r[:, None] * (np.diag(deg) - lap) * r[None, :])
+    lam = LAMBDA_MAX_SLACK * max(np.linalg.eigvalsh(lap)[-1], 1e-12)
+    return 2.0 / float(lam) * lap - np.eye(g.n)
+
+
+def _forward_operator(monkeypatch, model, g):
+    """The operator ``model.forward`` hands to its first Chebyshev layer."""
+    seen = []
+    layer = ad.cheb_layer
+    monkeypatch.setattr(ad, "cheb_layer", lambda op, h, w: seen.append(op) or layer(op, h, w))
+    model.forward(ad.Tape(), context_for(g), RNG.standard_normal((3, g.n, 2)))
+    return seen[0]
+
+
+PLAIN_GRAPHS = [barbell_graph(23, 4), ring_graph(16)] + [
+    random_graph(np.random.default_rng(500 + i), connected=True) for i in range(20)]
+
+
+class TestPlainModelOperator:
+    @pytest.mark.parametrize("g", PLAIN_GRAPHS, ids=lambda g: f"n{g.n}m{g.m}")
+    @pytest.mark.parametrize("operator", ["sym", "unnorm"])
+    def test_matches_combinatorial_laplacian_formula(self, monkeypatch, g, operator):
+        op = _forward_operator(monkeypatch, small_model(operator, mu=False), g)
+        assert not op.requires_grad and op.shape == (1, g.n, g.n)
+        ref = _plain_operator_reference(g, operator)
+        if operator == "unnorm":
+            npt.assert_array_equal(op.data[0], ref)
+        else:
+            npt.assert_allclose(op.data[0], ref, rtol=1e-14, atol=0)
+
+    def test_gcn_propagation_is_normalized_adjacency_plus_identity(self):
+        for g in PLAIN_GRAPHS:
+            r = 1.0 / np.sqrt(g.degrees + 1.0)
+            ref = r[:, None] * (g.adjacency_dense() + np.eye(g.n)) * r[None, :]
+            npt.assert_array_equal(context_for(g).gcn_prop, ref)
+
+    @pytest.mark.parametrize("mu", [False, True])
+    def test_sym_model_rejects_isolated_node(self, mu):
+        g = build_graph(5, [(0, 1), (1, 2), (2, 3)])  # node 4 has no edge
+        with pytest.raises(IsolatedNodeUnderMu, match="isolated"):
+            small_model("sym", mu=mu).forward(ad.Tape(), context_for(g),
+                                              RNG.standard_normal((5, 2)))
+
+
+class TestMaskedMseChannels:
+    @pytest.mark.parametrize("batched_mask", [False, True])
+    def test_value_and_gradient_against_numpy(self, batched_mask):
+        b, n, c = 4, 7, 3
+        rng = np.random.default_rng(31)
+        p, y = rng.standard_normal((b, n, c)), rng.standard_normal((b, n, c))
+        mask = rng.random((b, n) if batched_mask else n) < 0.5
+        mask[..., 0] = True
+        w = np.broadcast_to(mask[..., None], (b, n, c))
+        tape = ad.Tape()
+        pred = tape.leaf(p)
+        loss = mse_loss(pred, y, mask)
+        npt.assert_allclose(float(loss.data), ((p - y) ** 2)[w].mean(), rtol=1e-14)
+        grad = ad.backward(tape, loss)[pred]
+        npt.assert_allclose(grad, 2.0 * (p - y) * w / w.sum(), rtol=1e-14, atol=1e-17)
