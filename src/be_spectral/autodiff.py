@@ -50,11 +50,10 @@ class Tape:
         self._leaves: list[Tensor] = []
         self._ref = weakref.ref(self)  # shared by every tensor recorded here
 
-    def leaf(self, data, name: str | None = None, trainable: bool = True) -> "Tensor":
+    def leaf(self, data, name: str | None = None) -> "Tensor":
         t = Tensor(np.asarray(data, dtype=np.float64), tape=self,
-                   requires_grad=trainable, name=name)
-        if trainable:
-            self._leaves.append(t)
+                   requires_grad=True, name=name)
+        self._leaves.append(t)
         return t
 
     def leaves(self) -> list["Tensor"]:

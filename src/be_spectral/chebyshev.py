@@ -1,15 +1,15 @@
-"""Chebyshev polynomial filtering on symmetric operators.
+"""Scalar Chebyshev polynomial filtering on symmetric operators.
 
-A filter of order K applies Y = sum_k T_k(Ls) X Theta_k where
+A filter of order K applies y = sum_k theta_k T_k(Ls) x, the spectral
+filter of ChebNet (Defferrard et al., NeurIPS 2016), where
 Ls = 2 M / lambda_max - I is the operator rescaled so its spectrum lies
 in [-1, 1]. The polynomials are evaluated by the three-term recurrence
-T_0 = I, T_1 = Ls, T_k = 2 Ls T_{k-1} - T_{k-2}, applied directly to X;
+T_0 = I, T_1 = Ls, T_k = 2 Ls T_{k-1} - T_{k-2}, applied directly to x;
 the matrices T_k(Ls) are never materialized, so one application costs
 K matvecs. :func:`cheb_basis` is that recurrence, written once;
-:func:`cheb_apply` sums its terms, and ``autodiff.cheb_layer`` (the
-learned layers of ``models``) keeps them for its adjoint backward.
-Coefficients are either scalars (pure filtering) or (c_in, c_out)
-matrices (learned layers).
+:func:`cheb_apply` sums its terms. The coefficients are scalars only:
+the learned layers of ``models``, with (c_in, c_out) weight matrices
+per order, are ``autodiff.cheb_layer``, which runs the same recurrence.
 
 lambda_max only maps the spectrum into [-1, 1], so :func:`cheb_apply_be`
 pads an estimate: the Lanczos value of ``spectral.lambda_max_power``
@@ -18,7 +18,7 @@ not its residual, has converged) times :data:`LAMBDA_MAX_SLACK`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .be import BEOperator, normalized_be
 from .operators import SymOperator
-from .spectral import lambda_max_power
+from .spectral import eig_sym, lambda_max_power
 
 #: multiplicative slack applied to estimated spectral radii before scaling,
 #: so estimation error never pushes the scaled spectrum outside [-1, 1]
@@ -35,37 +35,30 @@ LAMBDA_MAX_SLACK = 1.01
 
 @dataclass
 class ChebFilter:
-    """Order-K Chebyshev filter: per-order coefficients plus the scaling constant.
+    """Order-K scalar Chebyshev filter: K + 1 coefficients plus the scaling constant.
 
-    ``coefficients[k]`` multiplies T_k; all entries must be scalars or all
-    (c_in, c_out) matrices of one shape. ``lambda_max`` may be left None
-    and supplied (or estimated) at application time.
+    ``coefficients[k]`` multiplies T_k; they are stored as one 1-D float64
+    array, and anything else (a scalar, matrices) is rejected. Matrix
+    weights belong to ``autodiff.cheb_layer``. ``lambda_max`` may be left
+    None and supplied (or estimated) at application time.
     """
 
-    coefficients: list = field(default_factory=list)
+    coefficients: np.ndarray
     lambda_max: float | None = None
 
     def __post_init__(self):
-        if not self.coefficients:
+        self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
+        if self.coefficients.ndim != 1:
+            raise ValueError("coefficients must be a list of scalars, got shape "
+                             f"{self.coefficients.shape}")
+        if not self.coefficients.size:
             raise ValueError("a filter needs at least the order-0 coefficient")
-        coeffs = [np.asarray(c, dtype=np.float64) for c in self.coefficients]
-        shapes = {c.shape for c in coeffs}
-        if len(shapes) != 1:
-            raise ValueError(f"coefficient shapes differ: {sorted(shapes)}")
-        shape = shapes.pop()
-        if shape not in ((),) and len(shape) != 2:
-            raise ValueError("coefficients must be scalars or 2-D matrices")
-        self.coefficients = coeffs
         if self.lambda_max is not None and self.lambda_max <= 0.0:
             raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
 
     @property
     def K(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.coefficients[0].ndim == 0
 
 
 def scale_operator(op: SymOperator, lambda_max: float) -> SymOperator:
@@ -91,32 +84,18 @@ def cheb_basis(apply, x, K: int):
 
 
 def cheb_apply(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
-    """Filter node signals: Y = sum_k T_k(2 op / lambda_max - I) X Theta_k.
+    """Filter node signals: y = sum_k theta_k T_k(2 op / lambda_max - I) x.
 
-    ``x`` has shape (n,) or (n, c_in); scalar coefficients preserve the
-    channel count, matrix coefficients map c_in -> c_out.
+    ``x`` has shape (n,) or (n, c); each column is filtered alike.
     """
     if filt.lambda_max is None:
         raise ValueError("filter has no lambda_max; set it or use cheb_apply_be")
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
     if x.shape[0] != op.n:
         raise ValueError(f"signal has {x.shape[0]} rows, operator has n={op.n}")
-    if not filt.is_scalar and x.shape[1] != filt.coefficients[0].shape[0]:
-        raise ValueError(
-            f"signal has {x.shape[1]} channels, coefficients expect "
-            f"{filt.coefficients[0].shape[0]}"
-        )
     ls = scale_operator(op, filt.lambda_max)
-
-    def weighted(z, theta):
-        return float(theta) * z if filt.is_scalar else z @ theta
-
     terms = zip(cheb_basis(ls.matvec, x, filt.K), filt.coefficients)
-    y = reduce(add, (weighted(z, theta) for z, theta in terms))
-    return y[:, 0] if squeeze else y
+    return reduce(add, (theta * z for z, theta in terms))
 
 
 def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
@@ -146,25 +125,20 @@ def cheb_spectral_oracle(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np
     """Reference implementation in the eigenbasis (O(n^3); for validation).
 
     Diagonalizes the operator, evaluates each T_k on the rescaled
-    eigenvalues and assembles Y = sum_k U diag(T_k) U^T X Theta_k.
+    eigenvalues and assembles y = sum_k theta_k U diag(T_k) U^T x.
     """
-    from .spectral import eig_sym
-
     if filt.lambda_max is None:
         raise ValueError("oracle needs an explicit lambda_max")
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    if squeeze:
-        x = x[:, None]
+    cols = x.reshape(x.shape[0], -1)
     dec = eig_sym(op)
     lam_s = 2.0 * dec.eigenvalues / filt.lambda_max - 1.0
     u = dec.eigenvectors
-    ut_x = u.T @ x
+    ut_x = u.T @ cols
     t_prev = np.ones_like(lam_s)
     t_cur = lam_s.copy()
-    y = np.zeros((x.shape[0], x.shape[1] if filt.is_scalar
-                  else filt.coefficients[0].shape[1]))
-    for k in range(filt.K + 1):
+    y = np.zeros(cols.shape)
+    for k, theta in enumerate(filt.coefficients):
         if k == 0:
             tk = t_prev
         elif k == 1:
@@ -172,7 +146,5 @@ def cheb_spectral_oracle(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np
         else:
             t_prev, t_cur = t_cur, 2.0 * lam_s * t_cur - t_prev
             tk = t_cur
-        basis = u @ (tk[:, None] * ut_x)
-        theta = filt.coefficients[k]
-        y += float(theta) * basis if filt.is_scalar else basis @ theta
-    return y[:, 0] if squeeze else y
+        y += theta * (u @ (tk[:, None] * ut_x))
+    return y.reshape(x.shape)

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
 from .chebyshev import ChebFilter, cheb_apply_be
+from .errors import UnstableStep
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, context_for
@@ -89,6 +90,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
+    if not args.t >= 0.0:
+        raise _InputError(f"--t {args.t} must be nonnegative")
+    if args.scheme == "euler" and (args.dt is None or not args.dt > 0.0):
+        raise _InputError("--scheme euler needs a positive --dt")
     g, be = _load_graph_mu(args)
     if args.f0:
         f0 = _node_values(args.f0, "--f0", g.n)
@@ -102,7 +107,10 @@ def cmd_diffuse(args) -> int:
     else:
         print("either --f0 or --delta is required", file=sys.stderr)
         return 2
-    f = heat_flow(be, f0, args.t, scheme=args.scheme, dt=args.dt)
+    try:
+        f = heat_flow(be, f0, args.t, scheme=args.scheme, dt=args.dt)
+    except UnstableStep as exc:  # checked before any step is taken
+        raise _InputError(f"--dt: {exc}") from None
     write_csv_matrix(f, args.out)
     print(f"diffused to t={args.t} -> {args.out}")
     return 0
@@ -116,7 +124,7 @@ def cmd_filter(args) -> int:
             print(f"--K {args.K} but {coeffs.size} coefficients given",
                   file=sys.stderr)
             return 2
-    filt = ChebFilter(list(coeffs))
+    filt = ChebFilter(coeffs)
     x = _node_rows(args.X, g.n)
     y = cheb_apply_be(filt, be, x,
                       kind="symmetric" if args.normalized else "unnormalized")
@@ -234,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="eigenvalues to CSV (k,lambda rows)")
     p.add_argument("--graph", required=True)
     p.add_argument("--mu")
-    p.add_argument("--normalized", nargs="?", const="sym", default=None)
+    p.add_argument("--normalized", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrum)
 

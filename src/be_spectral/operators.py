@@ -98,11 +98,6 @@ class SymOperator:
         m.setflags(write=False)
         return m
 
-    def diagonal(self) -> np.ndarray:
-        if self._dense is not None:
-            return np.diag(self._dense).copy()
-        return self._diag.copy()
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Apply to a vector (n,) or a stack of columns (n, c)."""
         x = np.asarray(x, dtype=np.float64)
@@ -118,17 +113,6 @@ class SymOperator:
             y[:, k] += np.bincount(ei, w * col[ej], minlength=n)
             y[:, k] += np.bincount(ej, w * col[ei], minlength=n)
         return y.reshape(x.shape)
-
-    def max_abs(self) -> float:
-        """Largest entry magnitude (tolerance scale)."""
-        if self._dense is not None:
-            return float(np.abs(self._dense).max()) if self._n else 0.0
-        cands = [0.0]
-        if self._diag.size:
-            cands.append(float(np.abs(self._diag).max()))
-        if self._offdiag.size:
-            cands.append(float(np.abs(self._offdiag).max()))
-        return max(cands)
 
     def scaled(self, alpha: float, shift: float = 0.0) -> "SymOperator":
         """Return alpha * M + shift * I as a new operator."""

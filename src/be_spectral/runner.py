@@ -103,25 +103,18 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
             n_clique = (total - k_path) // 2
         counts = counts or [64, 16, 32]
         make = lambda s: gen_barbell(n_clique, k_path, seed=s)
-        splits = _make_splits(make, counts, seed)
-        _rebind_shared_graph(splits)
-        return TaskData(*splits, loss_kind="mse", metric="nmse", in_dim=1,
-                        out_dim=1, readout="node", shared_graph=True)
-
-    if name == "ring":
+        kinds = dict(loss_kind="mse", metric="nmse", in_dim=1, out_dim=1,
+                     readout="node", shared_graph=True)
+    elif name == "ring":
         n = int(cfg.pop("n", 16))
         classes = int(cfg.pop("classes", 10))
         noise = float(cfg.pop("noise_scale", 1.0))
         counts = counts or [256, 64, 128]
         make = lambda s: gen_ring_routing(n, num_classes=classes, seed=s,
                                           noise_scale=noise)
-        splits = _make_splits(make, counts, seed)
-        _rebind_shared_graph(splits)
-        return TaskData(*splits, loss_kind="cross-entropy", metric="accuracy",
-                        in_dim=classes, out_dim=classes, readout="node",
-                        shared_graph=True)
-
-    if name == "graph-property":
+        kinds = dict(loss_kind="cross-entropy", metric="accuracy", in_dim=classes,
+                     out_dim=classes, readout="node", shared_graph=True)
+    elif name == "graph-property":
         prop = cfg.pop("property", "sssp")
         n_range = cfg.pop("n_range", [15, 25])
         model = cfg.pop("model", "erdos-renyi")
@@ -130,14 +123,19 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
         counts = counts or [512, 64, 128]
         make = lambda s: gen_graph_property(prop, n_range, seed=s, model=model,
                                             p=p, m_attach=m_attach)
-        splits = _make_splits(make, counts, seed)
-        readout = "graph" if prop == "diameter" else "node"
-        in_dim = 3 if prop == "sssp" else 2
-        return TaskData(*splits, loss_kind="mse", metric="log10_mse",
-                        in_dim=in_dim, out_dim=1, readout=readout,
-                        shared_graph=False)
+        kinds = dict(loss_kind="mse", metric="log10_mse",
+                     in_dim=3 if prop == "sssp" else 2, out_dim=1,
+                     readout="graph" if prop == "diameter" else "node",
+                     shared_graph=False)
+    else:
+        raise ValueError(f"unknown task {name!r}")
+    if cfg:
+        raise ValueError(f"unknown {name} task keys: {', '.join(sorted(cfg))}")
 
-    raise ValueError(f"unknown task {name!r}")
+    splits = _make_splits(make, counts, seed)
+    if kinds["shared_graph"]:
+        _rebind_shared_graph(splits)
+    return TaskData(*splits, **kinds)
 
 
 def _make_splits(make, counts, seed):
@@ -240,18 +238,19 @@ def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
     """Train one seed; returns the run record (and writes it when outdir set)."""
     t0 = time.time()
     _keep_freed_memory()
-    data = build_dataset(config.task)
-    mcfg = ModelConfig.from_dict(config.model)
-    mcfg.out_dim = data.out_dim
-    mcfg.readout = data.readout
-    model = MuChebNet(data.in_dim, mcfg, seed=seed)
-
     opt = dict(config.optim)
     lr = float(opt.pop("lr", 1e-2))
     hyper = {"beta1": float(opt.pop("beta1", 0.9)),
              "beta2": float(opt.pop("beta2", 0.999)),
              "eps": float(opt.pop("eps", 1e-8)),
              "weight_decay": float(opt.pop("weight_decay", 0.0))}
+    if opt:
+        raise ValueError(f"unknown optim keys: {', '.join(sorted(opt))}")
+    data = build_dataset(config.task)
+    mcfg = ModelConfig.from_dict(config.model)
+    mcfg.out_dim = data.out_dim
+    mcfg.readout = data.readout
+    model = MuChebNet(data.in_dim, mcfg, seed=seed)
     state = ad.AdamState(model.params)
 
     history = []

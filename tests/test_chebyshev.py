@@ -36,8 +36,11 @@ class TestScaleOperator:
 
 class TestChebFilterType:
     def test_mixed_shapes_rejected(self):
-        with pytest.raises(ValueError, match="shapes"):
+        # scalar filters only: matrix weights are autodiff.cheb_layer's
+        with pytest.raises(ValueError):
             ChebFilter([np.zeros(()), np.zeros((2, 2))])
+        with pytest.raises(ValueError, match="scalars"):
+            ChebFilter([np.zeros((2, 2)), np.zeros((2, 2))])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="order-0"):
@@ -91,19 +94,6 @@ class TestChebApply:
         scale = max(np.abs(y_ref).max(), 1.0)
         assert np.abs(y - y_ref).max() <= 1e-9 * scale
 
-    def test_matches_oracle_matrix_coefficients(self):
-        rng = np.random.default_rng(3)
-        g = random_graph(rng, n_min=10, n_max=20)
-        op = laplacian(g)
-        lam = 1.01 * eig_sym(op).eigenvalues[-1]
-        filt = ChebFilter([rng.standard_normal((3, 4)) for _ in range(5)],
-                          lambda_max=lam)
-        x = rng.standard_normal((g.n, 3))
-        y = cheb_apply(filt, op, x)
-        y_ref = cheb_spectral_oracle(filt, op, x)
-        assert y.shape == (g.n, 4)
-        assert np.abs(y - y_ref).max() <= 1e-9 * max(np.abs(y_ref).max(), 1.0)
-
     def test_oracle_equivalence_sweep(self):
         # recurrence == eigenbasis evaluation across sizes and orders,
         # on both the plain and the potential-weighted operator
@@ -145,9 +135,6 @@ class TestChebApply:
 
     def test_shape_errors(self):
         g = ring_graph(4)
-        filt = ChebFilter([np.zeros((3, 2))], lambda_max=4.0)
-        with pytest.raises(ValueError, match="channels"):
-            cheb_apply(filt, laplacian(g), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="rows"):
             cheb_apply(ChebFilter([1.0], lambda_max=4.0), laplacian(g),
                        np.zeros((5, 2)))

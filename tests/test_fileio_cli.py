@@ -167,6 +167,17 @@ class TestCli:
         rows2 = np.loadtxt(out2, delimiter=",", skiprows=1)
         npt.assert_allclose(rows2[:, 1], [0, 1, 1, 2], atol=1e-9)
 
+    def test_spectrum_normalized_takes_no_value(self, tmp_path, capsys):
+        gpath = tmp_path / "g.edges"
+        write_edge_list(ring_graph(4), gpath)
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--graph", str(gpath), "--normalized", "random-walk",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "random-walk" in capsys.readouterr().err
+
     def test_diffuse_command(self, tmp_path):
         g = ring_graph(6)
         gpath = tmp_path / "g.edges"
@@ -189,6 +200,21 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert f"--delta {delta}" in err and "n=6" in err
+
+    @pytest.mark.parametrize("case", ["negative-t", "euler-without-dt", "unstable-dt"])
+    def test_diffuse_bad_time_or_step(self, tmp_path, capsys, case):
+        gpath = tmp_path / "g.edges"
+        write_edge_list(ring_graph(6), gpath)  # lambda_max = 4, so dt < 0.5
+        out = tmp_path / "f.csv"
+        argv, flag = {"negative-t": (["--t", "-1"], "--t -1.0"),
+                      "euler-without-dt": (["--t", "1", "--scheme", "euler"], "--dt"),
+                      "unstable-dt": (["--t", "1", "--scheme", "euler", "--dt", "0.6"],
+                                      "--dt")}[case]
+        assert main(["diffuse", "--graph", str(gpath), "--delta", "0",
+                     "--out", str(out)] + argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and flag in err, err
 
     def test_filter_command(self, tmp_path):
         g = ring_graph(5)

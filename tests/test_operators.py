@@ -53,8 +53,6 @@ def test_sparse_matvec_agrees_with_dense():
     npt.assert_allclose(sparse_op.matvec(xc), dense_op.matvec(xc), atol=1e-12)
     npt.assert_allclose(sparse_op.matvec(x), sparse_op.dense() @ x, atol=1e-12)
     npt.assert_allclose(sparse_op.matvec(xc), sparse_op.dense() @ xc, atol=1e-12)
-    assert sparse_op.max_abs() == dense_op.max_abs()
-    npt.assert_array_equal(sparse_op.diagonal(), diag)
 
 
 def test_from_edges_keeps_edge_storage_and_densifies_on_demand():

@@ -67,6 +67,14 @@ class TestBuildDataset:
         with pytest.raises(ValueError, match="unknown task"):
             build_dataset({"name": "mystery"})
 
+    @pytest.mark.parametrize("task, key", [
+        ({"name": "barbell", "n": 14, "kpath": 6}, "kpath"),
+        ({"name": "graph-property", "modle": "barabasi-albert"}, "modle"),
+    ])
+    def test_misspelled_task_key_rejected(self, task, key):
+        with pytest.raises(ValueError, match=f"unknown {task['name']} task keys: {key}"):
+            build_dataset(task)
+
     def test_data_seed_controls_instances(self):
         d1 = build_dataset({"name": "barbell", "n": 12, "counts": [2, 1, 1],
                             "data_seed": 0})
@@ -115,6 +123,12 @@ class TestTrainRun:
         cfg.optim = {"lr": 0.0}
         rec = train_run(cfg, seed=0)
         assert rec["epochs_run"] <= 8
+
+    def test_misspelled_optim_key_rejected(self):
+        cfg = tiny_barbell_config()
+        cfg.optim = {"lr": 0.01, "weight_decy": 1e-5}
+        with pytest.raises(ValueError, match="unknown optim keys: weight_decy"):
+            train_run(cfg, seed=0)
 
     def test_minibatching_runs(self):
         cfg = tiny_barbell_config(batch_size=3, epochs=2)

@@ -194,9 +194,14 @@ class TestLambdaMaxPower:
             mu = rng.uniform(0.1, 2.0, g.n) if i % 2 else rng.lognormal(0.0, 2.0, g.n)
             op = build_be(g, mu).operator()
             lam_true = np.linalg.eigvalsh(op.dense())[-1]
-            for tol in (1e-6, 1e-10, 1e-12):
+            for tol in (1e-10, 1e-12):
                 err = abs(lambda_max_power(op, tol=tol) - lam_true)
                 assert err <= tol * lam_true, (i, g.n, tol, err / lam_true)
+
+    def test_loose_tol_rejected(self):
+        # at tol 1e-6 the Ritz value can converge to the second eigenvalue
+        with pytest.raises(ValueError, match="above 1e-8"):
+            lambda_max_power(laplacian(ring_graph(4)), tol=1e-6)
 
     def test_stops_once_the_ritz_value_converges(self, large_edge_operator, monkeypatch):
         # stopping on the residual |beta_k s_k| alone took 48 matvecs here
