@@ -8,9 +8,9 @@ potential end to end, synthetic long-range tasks with exact oracles, and
 the ``be-spectral`` experiment CLI.
 """
 
-from .graphs import (Graph, build_graph, degree_matrix, grad, grad_adjoint,
-                     divergence, laplacian, dirichlet_form, ring_graph,
-                     path_graph, star_graph, complete_graph, barbell_graph)
+from .graphs import (Graph, build_graph, grad, grad_adjoint, divergence,
+                     laplacian, dirichlet_form, ring_graph, path_graph,
+                     star_graph, complete_graph, barbell_graph)
 from .operators import SymOperator, DENSE_LIMIT
 from .be import (BEOperator, build_be, validate_potential, floor_potential,
                  advection_decomposition, normalized_be, heat_flow,
@@ -26,9 +26,9 @@ from .models import (ModelConfig, MuConfig, MuChebNet, MuParameterizer,
                      mse_loss, cross_entropy_loss,
                      log10_mse, accuracy, context_for)
 from .tasks import (TaskInstance, gen_barbell, gen_graph_property,
-                    gen_ring_routing, oracle_mse_interpretation,
-                    bfs_distances, all_pairs_bfs, erdos_renyi, barabasi_albert)
-from .runner import RunConfig, build_dataset, train_run, train_multi, grid_search
+                    gen_ring_routing, bfs_distances, all_pairs_bfs,
+                    erdos_renyi, barabasi_albert)
+from .runner import RunConfig, build_dataset, train_run, train_multi
 from . import errors
 
 __version__ = "0.1.0"

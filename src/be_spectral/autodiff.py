@@ -34,8 +34,8 @@ from .errors import NaNLoss
 
 __all__ = [
     "Tape", "Tensor", "backward", "constant",
-    "add", "sub", "mul", "div", "neg", "matmul", "transpose2", "reshape",
-    "concat", "tsum", "tmean", "relu", "softplus", "texp", "ttanh", "tlog",
+    "add", "sub", "mul", "neg", "matmul", "transpose2", "reshape",
+    "tsum", "tmean", "relu", "softplus", "texp", "tlog",
     "powc", "take_nodes", "edge_weights", "node_sums", "scatter_sym_dense",
     "diag_embed", "cheb_layer",
     "AdamState", "adam_step", "check_finite",
@@ -94,7 +94,6 @@ class Tensor:
     def __rsub__(self, o): return sub(o, self)
     def __mul__(self, o): return mul(self, o)
     def __rmul__(self, o): return mul(o, self)
-    def __truediv__(self, o): return div(self, o)
     def __matmul__(self, o): return matmul(self, o)
     def __neg__(self): return neg(self)
 
@@ -153,13 +152,6 @@ def mul(a, b) -> Tensor:
                               _unbroadcast(g * a.data, b.shape)))
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _record((a, b), a.data / b.data,
-                   lambda g: (_unbroadcast(g / b.data, a.shape),
-                              _unbroadcast(-g * a.data / (b.data * b.data), b.shape)))
-
-
 def neg(a) -> Tensor:
     a = _as_tensor(a)
     return _record((a,), -a.data, lambda g: (-g,))
@@ -190,17 +182,6 @@ def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     old = a.shape
     return _record((a,), a.data.reshape(shape), lambda g: (g.reshape(old),))
-
-
-def concat(tensors, axis: int = -1) -> Tensor:
-    tensors = [_as_tensor(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _record(tuple(tensors), np.concatenate([t.data for t in tensors], axis=axis), vjp)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -250,12 +231,6 @@ def texp(a) -> Tensor:
     a = _as_tensor(a)
     out = np.exp(a.data)
     return _record((a,), out, lambda g: (g * out,))
-
-
-def ttanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.tanh(a.data)
-    return _record((a,), out, lambda g: (g * (1.0 - out * out),))
 
 
 def tlog(a) -> Tensor:

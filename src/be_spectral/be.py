@@ -73,11 +73,6 @@ class BEOperator:
     def matvec(self, f: np.ndarray) -> np.ndarray:
         return self.operator().matvec(f)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """A_mu, read-only; n is capped at ``DENSE_LIMIT``."""
-        return SymOperator.from_edges(self.graph.n, self.graph.edges, self.edge_weights,
-                                      np.zeros(self.graph.n)).dense()
-
 
 def build_be(g: Graph, mu) -> BEOperator:
     """Assemble the potential-weighted Laplacian data for graph ``g``."""
@@ -122,13 +117,11 @@ def advection_decomposition(be: BEOperator, f: np.ndarray):
     return diffusion, advection
 
 
-def normalized_be(be: BEOperator, kind: str = "symmetric"):
-    """Degree-normalized weighted Laplacian.
+def normalized_be(be: BEOperator) -> SymOperator:
+    """Symmetric degree-normalized weighted Laplacian D_mu^{-1/2} L_mu D_mu^{-1/2}.
 
-    ``symmetric`` returns D_mu^{-1/2} L_mu D_mu^{-1/2} (spectrum in [0, 2])
-    as an edge-list :class:`SymOperator`; ``random-walk`` returns the dense
-    D_mu^{-1} L_mu, which is similar to the symmetric form but not itself
-    symmetric. Raises :class:`IsolatedNodeUnderMu` when a weighted degree
+    Returned as an edge-list :class:`SymOperator`; its spectrum lies in
+    [0, 2]. Raises :class:`IsolatedNodeUnderMu` when a weighted degree
     vanishes — floor the potential first.
     """
     if (be.degrees <= 0.0).any():
@@ -136,16 +129,12 @@ def normalized_be(be: BEOperator, kind: str = "symmetric"):
         raise IsolatedNodeUnderMu(
             f"weighted degree of node {i} is zero; apply floor_potential first"
         )
-    if kind == "symmetric":
-        r = 1.0 / np.sqrt(be.degrees)
-        e = be.graph.edges
-        return SymOperator.from_edges(
-            be.graph.n, e, -be.edge_weights * (r[e[:, 0]] * r[e[:, 1]]),
-            be.degrees * (r * r),
-        )
-    if kind == "random-walk":
-        return be.matrix() / be.degrees[:, None]
-    raise ValueError(f"unknown normalization {kind!r}")
+    r = 1.0 / np.sqrt(be.degrees)
+    e = be.graph.edges
+    return SymOperator.from_edges(
+        be.graph.n, e, -be.edge_weights * (r[e[:, 0]] * r[e[:, 1]]),
+        be.degrees * (r * r),
+    )
 
 
 def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral",

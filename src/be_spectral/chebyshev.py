@@ -111,7 +111,7 @@ def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
     if kind == "unnormalized":
         op = be.operator()
     elif kind == "symmetric":
-        op = normalized_be(be, "symmetric")
+        op = normalized_be(be)
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     if filt.lambda_max is not None:

@@ -46,9 +46,16 @@ def _load_graph_mu(args):
     return g, build_be(g, mu)
 
 
+def _read_csv(path, flag: str) -> np.ndarray:
+    try:
+        return read_csv_matrix(path)
+    except ValueError as exc:  # not a CSV of floats; numpy's message names the row
+        raise _InputError(f"{flag} {path}: {exc}") from None
+
+
 def _node_values(path, flag: str, n: int) -> np.ndarray:
     """One value per node from a CSV file; its size must match the graph."""
-    values = read_csv_matrix(path).reshape(-1)
+    values = _read_csv(path, flag).reshape(-1)
     if values.size != n:
         raise _InputError(f"{flag} {path} has {values.size} values, the graph has n={n}")
     return values
@@ -56,7 +63,7 @@ def _node_values(path, flag: str, n: int) -> np.ndarray:
 
 def _node_rows(path, n: int) -> np.ndarray:
     """The ``--X`` feature matrix; it needs one row per node."""
-    x = read_csv_matrix(path)
+    x = _read_csv(path, "--X")
     if x.shape[0] != n:
         raise _InputError(f"--X {path} has {x.shape[0]} rows, the graph has n={n}")
     return x
@@ -81,7 +88,7 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, be = _load_graph_mu(args)
-    op = normalized_be(be, "symmetric") if args.normalized else be.operator()
+    op = normalized_be(be) if args.normalized else be.operator()
     vals = eig_sym(op).eigenvalues
     rows = np.stack([np.arange(g.n, dtype=np.float64), vals], axis=1)
     write_csv_matrix(rows, args.out, header="k,lambda")
@@ -94,6 +101,8 @@ def cmd_diffuse(args) -> int:
         raise _InputError(f"--t {args.t} must be nonnegative")
     if args.scheme == "euler" and (args.dt is None or not args.dt > 0.0):
         raise _InputError("--scheme euler needs a positive --dt")
+    if args.scheme != "euler" and args.dt is not None:
+        raise _InputError(f"--dt {args.dt} needs --scheme euler")
     g, be = _load_graph_mu(args)
     if args.f0:
         f0 = _node_values(args.f0, "--f0", g.n)
@@ -118,7 +127,7 @@ def cmd_diffuse(args) -> int:
 
 def cmd_filter(args) -> int:
     g, be = _load_graph_mu(args)
-    coeffs = np.atleast_1d(read_csv_matrix(args.coeffs)).reshape(-1)
+    coeffs = np.atleast_1d(_read_csv(args.coeffs, "--coeffs")).reshape(-1)
     if args.K is not None:
         if args.K + 1 != coeffs.size:
             print(f"--K {args.K} but {coeffs.size} coefficients given",

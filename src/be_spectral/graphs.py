@@ -45,11 +45,6 @@ class Graph:
     def neighbors(self, i: int) -> np.ndarray:
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    def adjacency_dense(self) -> np.ndarray:
-        """0/1 adjacency matrix, read-only; n is capped at ``DENSE_LIMIT``."""
-        return SymOperator.from_edges(self.n, self.edges, np.ones(self.m),
-                                      np.zeros(self.n)).dense()
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -102,13 +97,6 @@ def _check_edge_signal(g: Graph, F: np.ndarray, name: str = "F") -> np.ndarray:
     if not np.isfinite(F).all():
         raise ValueError(f"{name} contains non-finite entries")
     return F
-
-
-def degree_matrix(g: Graph) -> SymOperator:
-    """Diagonal operator of neighbor counts."""
-    return SymOperator.from_edges(
-        g.n, np.empty((0, 2), dtype=np.int64), np.empty(0), g.degrees.astype(np.float64)
-    )
 
 
 def grad(g: Graph, f: np.ndarray) -> np.ndarray:

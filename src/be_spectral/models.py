@@ -122,26 +122,24 @@ class MuParameterizer:
     starts out as a plain (mu-free) spectral model.
     """
 
-    def __init__(self, in_dim: int, config: MuConfig, rng, prefix: str = "mu"):
+    def __init__(self, in_dim: int, config: MuConfig, rng):
         self.in_dim = in_dim
         self.config = config
-        self.prefix = prefix
         self.params: dict[str, np.ndarray] = {}
         width = in_dim
         for l in range(config.layers):
-            self.params[f"{prefix}.W{l}"] = _uniform(rng, width, (width, config.hidden))
-            self.params[f"{prefix}.b{l}"] = np.zeros(config.hidden)
+            self.params[f"mu.W{l}"] = _uniform(rng, width, (width, config.hidden))
+            self.params[f"mu.b{l}"] = np.zeros(config.hidden)
             width = config.hidden
-        self.params[f"{prefix}.Whead"] = np.zeros((width, 1))
-        self.params[f"{prefix}.bhead"] = np.zeros(1)
+        self.params["mu.Whead"] = np.zeros((width, 1))
+        self.params["mu.bhead"] = np.zeros(1)
 
     def forward(self, bound: dict, ctx: GraphContext, x: ad.Tensor) -> ad.Tensor:
         prop = ad.constant(ctx.gcn_prop)
         h = x
         for l in range(self.config.layers):
-            h = ad.relu(prop @ h @ bound[f"{self.prefix}.W{l}"]
-                        + bound[f"{self.prefix}.b{l}"])
-        z = h @ bound[f"{self.prefix}.Whead"] + bound[f"{self.prefix}.bhead"]
+            h = ad.relu(prop @ h @ bound[f"mu.W{l}"] + bound[f"mu.b{l}"])
+        z = h @ bound["mu.Whead"] + bound["mu.bhead"]
         return ad.softplus(z) + self.config.eps_floor  # (B, n, 1), strictly > 0
 
 
@@ -186,7 +184,19 @@ class MuChebNet:
     # --- parameter plumbing ---
 
     def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
-        return {k: tape.leaf(v, name=k) for k, v in self.params.items()}
+        """One leaf per parameter on ``tape``, bound on its first forward pass.
+
+        Later forwards on the same tape (one per graph of a graph-property
+        batch) reuse those leaves, so each parameter's gradient sums over
+        the whole batch. Raises ``ValueError`` if the tape's leaves are not
+        this model's parameters.
+        """
+        leaves = tape.leaves()
+        if not leaves:
+            return {k: tape.leaf(v, name=k) for k, v in self.params.items()}
+        if [t.name for t in leaves] != list(self.params):
+            raise ValueError("tape holds leaves that are not this model's parameters")
+        return {t.name: t for t in leaves}
 
     def load_params(self, values: dict[str, np.ndarray]) -> None:
         """Replace every parameter; names and shapes are checked before any is set."""

@@ -77,10 +77,6 @@ class SymOperator:
         return self._n
 
     @property
-    def shape(self):
-        return (self._n, self._n)
-
-    @property
     def is_dense(self) -> bool:
         return self._dense is not None
 

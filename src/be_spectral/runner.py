@@ -1,10 +1,11 @@
-"""Training / evaluation harness: datasets, runs, records, grid search.
+"""Training / evaluation harness: datasets, runs, records.
 
 A run is fully described by a :class:`RunConfig`; re-running the same
 config and seed on one platform reproduces every metric bit for bit
 (full-batch by default, seeded shuffling otherwise, deterministic
-aggregation order). Metrics stream as JSON lines, summaries as JSON, and
-learned potentials are dumped as CSV for external plotting.
+aggregation order). When the run ends, its per-eval metrics are written
+as JSON lines, summaries as JSON, and learned potentials as CSV for
+external plotting.
 """
 from __future__ import annotations
 
@@ -366,29 +367,3 @@ def train_multi(config: RunConfig, parallel: bool = False) -> dict:
         (outbase / "summary.json").write_text(json.dumps(summary, indent=2))
         (outbase / "config.json").write_text(json.dumps(config.to_dict(), indent=2))
     return summary
-
-
-def grid_search(base: RunConfig, grid: dict, select: str = "loss") -> dict:
-    """Exhaustive sweep over ``grid`` (dotted keys into the config dict).
-
-    Trains the first seed per point and returns all results plus the best
-    point by validation ``select`` (lower is better).
-    """
-    import itertools
-
-    keys = sorted(grid)
-    results = []
-    for values in itertools.product(*(grid[k] for k in keys)):
-        d = base.to_dict()
-        for k, v in zip(keys, values):
-            target = d
-            *path, last = k.split(".")
-            for part in path:
-                target = target[part]
-            target[last] = v
-        cfg = RunConfig.from_dict(d)
-        rec = train_run(cfg, int(cfg.seeds[0]), None)
-        results.append({"point": dict(zip(keys, values)),
-                        "val": rec["val"], "test": rec["test"]})
-    best = min(results, key=lambda r: r["val"].get(select, np.inf))
-    return {"results": results, "best": best}

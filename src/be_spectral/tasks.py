@@ -210,22 +210,3 @@ def gen_ring_routing(n: int, num_classes: int = 10, seed: int = 0,
         "noise_scale": noise_scale,
     }
     return TaskInstance(graph=g, X=x, y=np.array(label), mask=mask, meta=meta)
-
-
-# --- diagnostics ---
-
-def oracle_mse_interpretation(mse: float) -> str:
-    """Failure-mode bands for barbell MSE on unit-variance targets.
-
-    A no-information model lands near 1 (oversquashing: nodes fall back on
-    local signal), representation collapse lands far above (around 30),
-    and genuine cross-bridge transport drives the error toward zero.
-    """
-    mse = float(mse)
-    if mse < 0.0:
-        raise ValueError("mse must be nonnegative")
-    if mse < 0.5:
-        return "ok"
-    if mse < 5.0:
-        return "oversquashing"
-    return "oversmoothing"

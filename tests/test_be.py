@@ -82,16 +82,20 @@ class TestBuildBE:
         rng = np.random.default_rng(2)
         g = random_graph(rng)
         mu = rng.uniform(0.5, 2.0, g.n)
-        a_mu = build_be(g, mu).adjacency_matrix()
-        pattern = g.adjacency_dense() > 0
+        be = build_be(g, mu)
+        a_mu = np.diag(be.degrees) - be.matrix()
+        pattern = np.zeros((g.n, g.n), dtype=bool)
+        pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
         assert ((a_mu != 0) == pattern).all()  # mu > 0 everywhere: equality
 
     def test_zero_potential_pair_drops_edge_but_pattern_subset(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         be = build_be(g, [0.0, 0.0, 1.0])
-        a_mu = be.adjacency_matrix()
+        a_mu = np.diag(be.degrees) - be.matrix()
         assert a_mu[0, 1] == 0.0 and a_mu[1, 2] == 0.5
-        assert ((a_mu != 0) <= (g.adjacency_dense() > 0)).all()
+        pattern = np.zeros((3, 3), dtype=bool)
+        pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
+        assert ((a_mu != 0) <= pattern).all()
 
     def test_scale_equivariance_exact(self):
         rng = np.random.default_rng(3)
@@ -147,13 +151,13 @@ class TestAdvectionDecomposition:
 class TestNormalized:
     def test_uniform_ring_is_standard_normalized(self):
         be = build_be(ring_graph(4), np.ones(4))
-        vals = eig_sym(normalized_be(be, "symmetric")).eigenvalues
+        vals = eig_sym(normalized_be(be)).eigenvalues
         npt.assert_allclose(vals, [0, 1, 1, 2], atol=1e-9)
 
     def test_regular_graph_scale_cancels(self):
         g = complete_graph(5)
-        v1 = eig_sym(normalized_be(build_be(g, np.ones(5)), "symmetric")).eigenvalues
-        v2 = eig_sym(normalized_be(build_be(g, np.full(5, 3.7)), "symmetric")).eigenvalues
+        v1 = eig_sym(normalized_be(build_be(g, np.ones(5)))).eigenvalues
+        v2 = eig_sym(normalized_be(build_be(g, np.full(5, 3.7)))).eigenvalues
         npt.assert_allclose(v1, v2, atol=1e-10)
 
     def test_spectrum_in_zero_two(self):
@@ -161,34 +165,25 @@ class TestNormalized:
         for _ in range(20):
             g = random_graph(rng, connected=True)
             mu = rng.uniform(0.05, 3.0, g.n)
-            vals = eig_sym(normalized_be(build_be(g, mu), "symmetric")).eigenvalues
+            vals = eig_sym(normalized_be(build_be(g, mu))).eigenvalues
             assert vals[0] >= -1e-10 and vals[-1] <= 2.0 + 1e-10
 
     def test_isolated_node_under_mu(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         be = build_be(g, [0.0, 0.0, 1.0])  # node 0's only edge gets weight 0
         with pytest.raises(IsolatedNodeUnderMu, match="floor_potential"):
-            normalized_be(be, "symmetric")
+            normalized_be(be)
         floored = build_be(g, floor_potential([0.0, 0.0, 1.0]))
-        normalized_be(floored, "symmetric")  # no raise
+        normalized_be(floored)  # no raise
 
     def test_symmetric_above_dense_limit(self):
         be, rng = large_ring_be(14)
-        op = normalized_be(be, "symmetric")
+        op = normalized_be(be)
         assert not op.is_dense
         r = 1.0 / np.sqrt(be.degrees)
         x = rng.standard_normal((be.graph.n, 2))
         want = r[:, None] * be.matvec(r[:, None] * x)
         npt.assert_allclose(op.matvec(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
-
-    def test_random_walk_similar_to_symmetric(self):
-        rng = np.random.default_rng(7)
-        g = random_graph(rng, connected=True)
-        be = build_be(g, rng.uniform(0.5, 2.0, g.n))
-        rw = normalized_be(be, "random-walk")
-        sym_vals = eig_sym(normalized_be(be, "symmetric")).eigenvalues
-        rw_vals = np.sort(np.linalg.eigvals(rw).real)
-        npt.assert_allclose(rw_vals, sym_vals, atol=1e-8)
 
 
 class TestHeatFlow:

@@ -201,7 +201,8 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--delta {delta}" in err and "n=6" in err
 
-    @pytest.mark.parametrize("case", ["negative-t", "euler-without-dt", "unstable-dt"])
+    @pytest.mark.parametrize("case", ["negative-t", "euler-without-dt", "unstable-dt",
+                                      "dt-without-euler"])
     def test_diffuse_bad_time_or_step(self, tmp_path, capsys, case):
         gpath = tmp_path / "g.edges"
         write_edge_list(ring_graph(6), gpath)  # lambda_max = 4, so dt < 0.5
@@ -209,7 +210,8 @@ class TestCli:
         argv, flag = {"negative-t": (["--t", "-1"], "--t -1.0"),
                       "euler-without-dt": (["--t", "1", "--scheme", "euler"], "--dt"),
                       "unstable-dt": (["--t", "1", "--scheme", "euler", "--dt", "0.6"],
-                                      "--dt")}[case]
+                                      "--dt"),
+                      "dt-without-euler": (["--t", "1", "--dt", "5"], "--dt 5.0")}[case]
         assert main(["diffuse", "--graph", str(gpath), "--delta", "0",
                      "--out", str(out)] + argv) == 2
         assert not out.exists()
@@ -248,6 +250,24 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"{flag} {five} has 5" in err and "n=6" in err
+
+    @pytest.mark.parametrize("flag", ["--coeffs", "--mu", "--f0", "--X"])
+    def test_malformed_csv_file(self, tmp_path, capsys, flag):
+        gpath, bad = tmp_path / "g.edges", tmp_path / "bad.csv"
+        write_edge_list(ring_graph(6), gpath)
+        write_edge_list(ring_graph(6), bad)  # "i j" rows are not a CSV of numbers
+        six, theta = tmp_path / "six.csv", tmp_path / "theta.csv"
+        write_csv_matrix(np.ones(6), six)
+        write_csv_matrix(np.ones(2), theta)
+        out = tmp_path / "out.csv"
+        argv = {"--coeffs": ["filter", "--coeffs", str(bad), "--X", str(six)],
+                "--mu": ["spectrum", "--mu", str(bad)],
+                "--f0": ["diffuse", "--t", "1.0", "--f0", str(bad)],
+                "--X": ["filter", "--coeffs", str(theta), "--X", str(bad)]}[flag]
+        assert main(argv + ["--graph", str(gpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag} {bad}:" in err, err
 
     @pytest.mark.parametrize("text", ["0 1\n1 x\n", "0 1\n1 1\n"])
     def test_malformed_edge_list(self, tmp_path, capsys, text):

@@ -153,6 +153,12 @@ class TestMuChebNetForward:
                            if kind == "matmul" for p in node.parents]
         assert matmul_operands and (b, n, n) not in matmul_operands
 
+    def test_bind_rejects_a_tape_with_other_leaves(self):
+        tape = ad.Tape()
+        tape.leaf(np.ones(3), name="x")
+        with pytest.raises(ValueError, match="not this model's parameters"):
+            small_model().bind(tape)
+
     def test_shape_validation(self):
         model = small_model()
         with pytest.raises(ValueError, match="incompatible"):
@@ -397,7 +403,9 @@ class TestPlainModelOperator:
     def test_gcn_propagation_is_normalized_adjacency_plus_identity(self):
         for g in PLAIN_GRAPHS:
             r = 1.0 / np.sqrt(g.degrees + 1.0)
-            ref = r[:, None] * (g.adjacency_dense() + np.eye(g.n)) * r[None, :]
+            adj = np.zeros((g.n, g.n))
+            adj[g.edges[:, 0], g.edges[:, 1]] = adj[g.edges[:, 1], g.edges[:, 0]] = 1.0
+            ref = r[:, None] * (adj + np.eye(g.n)) * r[None, :]
             npt.assert_array_equal(context_for(g).gcn_prop, ref)
 
     @pytest.mark.parametrize("mu", [False, True])

@@ -7,11 +7,12 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import runner
-from be_spectral.runner import (RunConfig, build_dataset, evaluate,
-                                grid_search, train_multi, train_run)
+from be_spectral import autodiff as ad, runner
+from be_spectral.runner import (RunConfig, build_dataset, evaluate, train_multi,
+                                train_run)
 from be_spectral.models import ModelConfig, MuChebNet
 from be_spectral.tasks import gen_barbell
+from be_spectral.verify import gradcheck_error, numeric_gradient
 
 
 def tiny_barbell_config(**overrides):
@@ -141,6 +142,32 @@ class TestTrainRun:
         rec = train_run(cfg, seed=0)
         assert "nmse" in rec["test"]
 
+    def test_graph_property_batch_gradient_per_name(self):
+        # one forward per graph on one tape: each parameter's gradient, keyed
+        # by name as train_run keys it, must cover every graph of the batch
+        data = build_dataset({"name": "graph-property", "property": "sssp",
+                              "n_range": [15, 25], "counts": [4, 1, 1], "data_seed": 13})
+        mcfg = ModelConfig(layers=2, K=6, hidden=16, out_dim=data.out_dim,
+                           readout=data.readout)
+        model = MuChebNet(data.in_dim, mcfg, seed=0)
+        tape = ad.Tape()
+        loss, _, _ = runner._batch_loss(model, data, data.train, tape)
+        grads = {t.name: g for t, g in ad.backward(tape, loss).items()}
+
+        def lossfn(_):
+            return float(runner._batch_loss(model, data, data.train, ad.Tape())[0].data)
+
+        # no gradient at init: the zero mu head blocks mu.W* and mu.b*, and
+        # the sym operator ignores the uniform shift of mu that mu.bhead makes
+        coords = [("layer0.theta1", 0), ("layer1.theta3", 5), ("layer0.b", 2),
+                  ("readout.W", 0), ("readout.b", 0), ("mu.Whead", 1)]
+        fd = numeric_gradient(lossfn, model.params, coords)
+        for (name, i), want in fd.items():
+            got = float(grads[name].reshape(-1)[i])
+            assert abs(want) > 1e-3, (name, want)
+            assert gradcheck_error(got, want) <= 1e-6, (name, got, want)
+        assert len(tape.leaves()) == len(model.params)
+
 
     def test_steps_freed_without_cyclic_collector(self, monkeypatch):
         # tensors refer to their tape weakly, so every train step and every
@@ -200,14 +227,6 @@ class TestRingTraining:
         assert {"accuracy", "mu_clean_mean", "mu_noisy_mean",
                 "mu_contrast"} <= set(test)
         assert 0.0 <= test["accuracy"] <= 1.0
-
-
-class TestGridSearch:
-    def test_grid_sweeps_and_selects(self):
-        cfg = tiny_barbell_config(epochs=2, seeds=[0])
-        out = grid_search(cfg, {"model.K": [1, 2], "optim.lr": [0.01]})
-        assert len(out["results"]) == 2
-        assert out["best"]["point"]["model.K"] in (1, 2)
 
 
 class TestEvaluateDirect:

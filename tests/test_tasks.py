@@ -6,8 +6,7 @@ import pytest
 
 from be_spectral import (all_pairs_bfs, barabasi_albert, bfs_distances,
                          erdos_renyi, gen_barbell, gen_graph_property,
-                         gen_ring_routing, oracle_mse_interpretation,
-                         path_graph, star_graph)
+                         gen_ring_routing, path_graph, star_graph)
 from be_spectral.errors import DisconnectedAfterRetries
 from be_spectral.tasks import is_connected
 
@@ -204,16 +203,3 @@ class TestRingRouting:
         npt.assert_array_equal(a.X, b.X)
         assert a.meta == b.meta
 
-
-class TestMseInterpretation:
-    def test_bands(self):
-        assert oracle_mse_interpretation(0.03) == "ok"
-        assert oracle_mse_interpretation(1.08) == "oversquashing"
-        assert oracle_mse_interpretation(30.0) == "oversmoothing"
-        assert oracle_mse_interpretation(0.499) == "ok"
-        assert oracle_mse_interpretation(0.5) == "oversquashing"
-        assert oracle_mse_interpretation(5.0) == "oversmoothing"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            oracle_mse_interpretation(-0.1)
