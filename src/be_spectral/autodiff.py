@@ -14,8 +14,10 @@ whose adjoint scatters half the upstream gradient to both endpoints),
 ``node_sums`` (per-edge values -> weighted degrees) and a symmetric
 scatter into a dense matrix, from which the models assemble the operator.
 ``cheb_layer`` records a whole Chebyshev layer, sum_k T_k(op) h W_k, as
-one node; its backward runs the adjoint (Clenshaw) recurrence, so the
-operator gets one batched gradient contraction per layer. ``matmul`` and
+one node. It writes the terms T_k(op) h, transposed, into one buffer with
+a contiguous block of rows per term; its backward runs the adjoint
+(Clenshaw) recurrence in the same layout, so the operator gets one batched
+gradient contraction with that buffer per layer. ``matmul`` and
 ``cheb_layer`` skip the gradients of constant operands.
 
 Tapes are single-threaded and meant to live for one training step.
@@ -340,8 +342,10 @@ def cheb_layer(op, h, weights) -> Tensor:
     """One Chebyshev layer, sum_k T_k(op) h W_k, recorded as a single node.
 
     ``op`` is (..., n, n), ``h`` (..., n, c_in) and ``weights`` the K + 1
-    (c_in, c_out) matrices. The forward contracts the channel-concatenated
-    terms Z_k = T_k(op) h of ``cheb_basis`` with the stacked weights. The
+    (c_in, c_out) matrices. The forward writes the transposed terms
+    Z_k^T = h^T T_k(op^T) of ``cheb_basis`` into one (..., (K+1) c_in, n)
+    buffer, block k in rows k c_in ... (k+1) c_in - 1, and contracts it
+    with the stacked weights. The
     backward runs A_k = G W_k^T + c_{k+1} op^T A_{k+1} - A_{k+2} (c_1 = 1,
     c_k = 2 for k >= 2) from k = K down; ``h`` gets A_0, ``op`` gets
     sum_{k>=1} c_k A_k Z_{k-1}^T and W_k gets Z_k^T G.
@@ -349,20 +353,23 @@ def cheb_layer(op, h, weights) -> Tensor:
     op, h = _as_tensor(op), _as_tensor(h)
     weights = [_as_tensor(w) for w in weights]
     K = len(weights) - 1
-    c_in = h.shape[-1]
-    z = np.concatenate(list(cheb_basis(lambda v: op.data @ v, h.data, K)), axis=-1)
+    n, c_in = h.shape[-2:]
+    rows = lambda k: slice(k * c_in, (k + 1) * c_in)  # block of Z^T_k in z_t
+    op_t = np.swapaxes(op.data, -1, -2)
+    z_t = np.empty(np.broadcast_shapes(op.shape[:-2], h.shape[:-2]) + ((K + 1) * c_in, n))
+    for k, term in enumerate(cheb_basis(lambda v: v @ op_t, np.swapaxes(h.data, -1, -2), K)):
+        z_t[..., rows(k), :] = term
     w_all = np.concatenate([w.data for w in weights], axis=0)
-    out = z @ w_all
+    out = np.swapaxes(z_t, -1, -2) @ w_all
 
     def vjp(g):
-        gw = z.reshape(-1, z.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        gw = (z_t @ g).reshape(-1, *w_all.shape).sum(axis=0)
         grads = [None, None, *np.split(gw, K + 1)]
         if not (op.requires_grad or h.requires_grad):
             return grads
-        # transposed (..., c_in, n) terms, each a contiguous block of rows
-        rows = lambda k: slice(k * c_in, (k + 1) * c_in)
+        # transposed (..., c_in, n) adjoints, laid out in blocks like z_t
         b_t = w_all @ np.ascontiguousarray(np.swapaxes(g, -1, -2))   # B^T_0 ... B^T_K
-        scaled_t = np.empty(b_t.shape[:-2] + (K * c_in, b_t.shape[-1]))  # c_k A^T_k, k >= 1
+        scaled_t = np.empty(b_t.shape[:-2] + (K * c_in, n))  # c_k A^T_k, k >= 1
         a1 = a2 = None                                   # A^T_{k+1}, A^T_{k+2}
         for k in range(K, -1 if h.requires_grad else 0, -1):
             if k == K:
@@ -378,7 +385,8 @@ def cheb_layer(op, h, weights) -> Tensor:
         if h.requires_grad:
             grads[1] = _unbroadcast(np.swapaxes(a1, -1, -2), h.shape)
         if op.requires_grad and K >= 1:
-            grads[0] = _unbroadcast(np.swapaxes(z[..., :K * c_in] @ scaled_t, -1, -2), op.shape)
+            grads[0] = _unbroadcast(np.swapaxes(scaled_t, -1, -2) @ z_t[..., :K * c_in, :],
+                                    op.shape)
         return grads
 
     return _record((op, h, *weights), out, vjp)

@@ -33,6 +33,8 @@ class _InputError(Exception):
 def _read_graph(path):
     try:
         return read_edge_list(path)
+    except FileNotFoundError:
+        raise _InputError(f"--graph {path}: no such file") from None
     except ValueError as exc:  # malformed edge list; the message names the file
         raise _InputError(f"--graph {exc}") from None
 
@@ -49,6 +51,8 @@ def _load_graph_mu(args):
 def _read_csv(path, flag: str) -> np.ndarray:
     try:
         return read_csv_matrix(path)
+    except FileNotFoundError:
+        raise _InputError(f"{flag} {path}: no such file") from None
     except ValueError as exc:  # not a CSV of floats; numpy's message names the row
         raise _InputError(f"{flag} {path}: {exc}") from None
 
@@ -128,6 +132,8 @@ def cmd_diffuse(args) -> int:
 def cmd_filter(args) -> int:
     g, be = _load_graph_mu(args)
     coeffs = np.atleast_1d(_read_csv(args.coeffs, "--coeffs")).reshape(-1)
+    if not coeffs.size:
+        raise _InputError(f"--coeffs {args.coeffs} holds no coefficients")
     if args.K is not None:
         if args.K + 1 != coeffs.size:
             print(f"--K {args.K} but {coeffs.size} coefficients given",

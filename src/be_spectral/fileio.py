@@ -63,9 +63,13 @@ def write_edge_list(g: Graph, path) -> None:
 
 
 def read_csv_matrix(path) -> np.ndarray:
-    """CSV of floats, row r = values of node r; returns (n, c) or (n,)."""
-    data = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
-    return data
+    """CSV of floats, row r = values of node r; returns (n, c) or (n,).
+
+    A file without data rows gives an empty array.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=1)
 
 
 def write_csv_matrix(arr: np.ndarray, path, header: str | None = None) -> None:

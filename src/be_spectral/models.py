@@ -5,7 +5,10 @@ propagation) whose softplus head emits a strictly positive node potential.
 ``MuChebNet`` computes that potential once per forward pass, assembles the
 potential-weighted Laplacian differentiably from it (through the
 edge-weight primitive, so loss gradients reach the parameterizer), and
-stacks Chebyshev filter layers on the shared operator. The stable variant
+stacks Chebyshev filter layers on the shared operator. The ``sym``
+operator -(D_mu^{-1/2} A_mu D_mu^{-1/2}) is one dense scatter of the
+normalized edge weights w_e r_i r_j, r = d_mu^{-1/2}: the normalization
+runs on the (B, m) edges, never on (B, n, n) arrays. The stable variant
 replaces each layer with the residual update
 
     X <- X + step * sum_k T_k(Ls) X (W_k - W_k^T - gamma I),
@@ -222,15 +225,18 @@ class MuChebNet:
         b = mu.shape[0]
         mu_flat = ad.reshape(mu, (b, ctx.n))
         w = ad.edge_weights(mu_flat, ctx.ei, ctx.ej)            # (B, m)
-        a_mu = ad.scatter_sym_dense(w, ctx.ei, ctx.ej, ctx.n)   # (B, n, n)
         d_mu = ad.node_sums(w, ctx.ei, ctx.ej, ctx.n)           # (B, n)
         if self.config.operator == "sym":
             if (ctx.degrees <= 0.0).any():
                 raise IsolatedNodeUnderMu("graph has an isolated node")
-            r = ad.powc(d_mu, -0.5)
-            a_norm = a_mu * ad.reshape(r, (b, ctx.n, 1)) * ad.reshape(r, (b, 1, ctx.n))
-            return ad.neg(a_norm)  # (L_sym scaled by lambda_max = 2) = L_sym - I
-        l_mu = ad.diag_embed(d_mu) - a_mu
+            # w_e r_i r_j with r = d_mu^{-1/2}: the edges of D^{-1/2} A_mu D^{-1/2}
+            r = ad.reshape(ad.powc(d_mu, -0.5), (b, ctx.n, 1))
+            m = len(ctx.ei)
+            w_norm = (w * ad.reshape(ad.take_nodes(r, ctx.ei), (b, m))
+                      * ad.reshape(ad.take_nodes(r, ctx.ej), (b, m)))
+            # (L_sym scaled by lambda_max = 2) = L_sym - I
+            return ad.scatter_sym_dense(ad.neg(w_norm), ctx.ei, ctx.ej, ctx.n)
+        l_mu = ad.diag_embed(d_mu) - ad.scatter_sym_dense(w, ctx.ei, ctx.ej, ctx.n)
         if lambda_max is None:
             # stop-gradient; the floor keeps an edgeless graph's L_mu = 0 finite
             lam = LAMBDA_MAX_SLACK * np.maximum(np.linalg.eigvalsh(l_mu.data)[..., -1], 1e-12)

@@ -208,11 +208,12 @@ def cheb_layer_on_tape(op, h, weights):
 
 class TestChebLayer:
     @staticmethod
-    def inputs(K, seed=0, b=3, n=7, c_in=4, c_out=5):
+    def inputs(K, seed=0, b=3, n=7, c_in=4, c_out=5, symmetric=True):
         rng = np.random.default_rng(seed)
         op = rng.standard_normal((b, n, n))
-        op = op + np.swapaxes(op, -1, -2)
-        op /= np.abs(np.linalg.eigvalsh(op)).max(axis=-1)[:, None, None]  # spectrum in [-1, 1]
+        if symmetric:
+            op = op + np.swapaxes(op, -1, -2)
+        op /= np.linalg.norm(op, ord=2, axis=(-2, -1))[:, None, None]  # spectrum in the unit disk
         return (op, rng.standard_normal((b, n, c_in)),
                 [rng.standard_normal((c_in, c_out)) for _ in range(K + 1)])
 
@@ -221,25 +222,27 @@ class TestChebLayer:
     @pytest.mark.parametrize("h_leaf", [True, False])
     @pytest.mark.parametrize("stable", [False, True])
     def test_matches_tape_recurrence(self, K, op_leaf, h_leaf, stable):
-        op0, h0, w0 = self.inputs(K, seed=K, c_out=4)
-        results = []
-        for layer in (cheb_layer_on_tape, ad.cheb_layer):
-            tape = ad.Tape()
-            op = tape.leaf(op0) if op_leaf else ad.constant(op0)
-            h = tape.leaf(h0) if h_leaf else ad.constant(h0)
-            mats = [tape.leaf(w) for w in w0]
-            if stable:  # the stable variant's W_k - W_k^T - gamma I
-                eye = ad.constant(0.05 * np.eye(4))
-                weights = [m - ad.transpose2(m) - eye for m in mats]
-            else:
-                weights = mats
-            out = layer(op, h, weights)
-            loss = ad.tsum(out * ad.constant(np.sin(out.data)))
-            grads = ad.backward(tape, loss)
-            results.append([out.data] + [grads[leaf] for leaf in tape.leaves()])
-        assert len(results[0]) == 1 + op_leaf + h_leaf + K + 1
-        for ref, got in zip(*results):
-            assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
+        for symmetric in (True, False):  # the layer may not assume op = op^T
+            op0, h0, w0 = self.inputs(K, seed=K, c_out=4, symmetric=symmetric)
+            results = []
+            for layer in (cheb_layer_on_tape, ad.cheb_layer):
+                tape = ad.Tape()
+                op = tape.leaf(op0) if op_leaf else ad.constant(op0)
+                h = tape.leaf(h0) if h_leaf else ad.constant(h0)
+                mats = [tape.leaf(w) for w in w0]
+                if stable:  # the stable variant's W_k - W_k^T - gamma I
+                    eye = ad.constant(0.05 * np.eye(4))
+                    weights = [m - ad.transpose2(m) - eye for m in mats]
+                else:
+                    weights = mats
+                out = layer(op, h, weights)
+                loss = ad.tsum(out * ad.constant(np.sin(out.data)))
+                grads = ad.backward(tape, loss)
+                results.append([out.data] + [grads[leaf] for leaf in tape.leaves()])
+            assert len(results[0]) == 1 + op_leaf + h_leaf + K + 1
+            assert not op_leaf or results[1][1].flags.c_contiguous  # the operator gradient
+            for ref, got in zip(*results):
+                assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
     def test_gradcheck(self):
         def build(p):

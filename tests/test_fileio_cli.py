@@ -269,6 +269,43 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag} {bad}:" in err, err
 
+    @pytest.mark.parametrize("flag", ["--graph", "--mu", "--f0", "--X", "--coeffs"])
+    def test_missing_input_file(self, tmp_path, capsys, flag):
+        gpath, missing = tmp_path / "g.edges", tmp_path / "missing.csv"
+        write_edge_list(ring_graph(6), gpath)
+        six, theta = tmp_path / "six.csv", tmp_path / "theta.csv"
+        write_csv_matrix(np.ones(6), six)
+        write_csv_matrix(np.ones(2), theta)
+        out = tmp_path / "out.csv"
+        argv = {"--graph": ["spectrum", "--graph", str(missing)],
+                "--mu": ["spectrum", "--graph", str(gpath), "--mu", str(missing)],
+                "--f0": ["diffuse", "--graph", str(gpath), "--t", "1.0",
+                         "--f0", str(missing)],
+                "--X": ["filter", "--graph", str(gpath), "--coeffs", str(theta),
+                        "--X", str(missing)],
+                "--coeffs": ["filter", "--graph", str(gpath), "--coeffs", str(missing),
+                             "--X", str(six)]}[flag]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag} {missing}: no such file" in err, err
+
+    @pytest.mark.parametrize("K", [None, "0"])
+    def test_empty_coeffs_file(self, tmp_path, capsys, K):
+        gpath, empty = tmp_path / "g.edges", tmp_path / "empty.csv"
+        write_edge_list(ring_graph(3), gpath)
+        empty.write_text("")
+        write_csv_matrix(np.ones(3), tmp_path / "x.csv")
+        out = tmp_path / "out.csv"
+        argv = ["filter", "--graph", str(gpath), "--coeffs", str(empty),
+                "--X", str(tmp_path / "x.csv"), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "no data" warning is silenced
+            assert main(argv + (["--K", K] if K else [])) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--coeffs {empty}" in err, err
+
     @pytest.mark.parametrize("text", ["0 1\n1 x\n", "0 1\n1 1\n"])
     def test_malformed_edge_list(self, tmp_path, capsys, text):
         gpath = tmp_path / "g.edges"

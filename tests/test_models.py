@@ -416,6 +416,31 @@ class TestPlainModelOperator:
                                               RNG.standard_normal((5, 2)))
 
 
+class TestSymOperatorFromEdgeWeights:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_numpy_normalization_and_is_bit_symmetric(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        g = random_graph(rng, connected=True)
+        b = 3
+        mu = rng.uniform(0.1, 3.0, (b, g.n, 1))
+        op = small_model("sym")._mu_operator(context_for(g), ad.constant(mu), None).data
+        ei, ej = g.edges[:, 0], g.edges[:, 1]
+        a_mu = np.zeros((b, g.n, g.n))
+        a_mu[:, ei, ej] = a_mu[:, ej, ei] = 0.5 * (mu[:, ei, 0] + mu[:, ej, 0])
+        r = a_mu.sum(axis=-1) ** -0.5
+        npt.assert_allclose(op, -(r[:, :, None] * a_mu * r[:, None, :]), rtol=1e-14, atol=0)
+        npt.assert_array_equal(op, np.swapaxes(op, -1, -2))
+
+    def test_no_dense_elementwise_nodes(self):
+        b, n = 3, 8
+        tape = ad.Tape()
+        small_model("sym").forward(tape, context_for(ring_graph(n)),
+                                   RNG.standard_normal((b, n, 2)))
+        dense = [node.vjp.__qualname__.split(".")[0] for node in tape._nodes
+                 if node.shape == (b, n, n)]
+        assert dense and not {"mul", "neg"} & set(dense)
+
+
 class TestMaskedMseChannels:
     @pytest.mark.parametrize("batched_mask", [False, True])
     def test_value_and_gradient_against_numpy(self, batched_mask):
