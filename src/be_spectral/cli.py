@@ -16,50 +16,48 @@ import numpy as np
 from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
 from .chebyshev import ChebFilter, cheb_apply_be
-from .errors import UnstableStep
+from .errors import IsolatedNodeUnderMu, UnstableStep
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, context_for
 from .runner import RunConfig, build_dataset, evaluate, train_multi
 from .spectral import eig_sym
-from .tasks import gen_barbell, gen_graph_property, gen_ring_routing
 from .verify import SUITES, run_suite
 
 
 class _InputError(Exception):
-    """An input file that cannot be used; :func:`main` prints it and returns 2."""
+    """An unusable input file or value; :func:`main` prints it and returns 2."""
 
 
-def _read_graph(path):
+def _read(flag: str, path, reader):
+    """``reader(path)``; a missing file or a ``ValueError`` is one line naming ``flag``."""
     try:
-        return read_edge_list(path)
+        return reader(path)
     except FileNotFoundError:
-        raise _InputError(f"--graph {path}: no such file") from None
-    except ValueError as exc:  # malformed edge list; the message names the file
-        raise _InputError(f"--graph {exc}") from None
+        raise _InputError(f"{flag} {path}: no such file") from None
+    except ValueError as exc:  # the fileio readers' messages start with the path
+        msg = str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
+        raise _InputError(f"{flag} {msg}") from None
 
 
 def _load_graph_mu(args):
-    g = _read_graph(args.graph)
-    if getattr(args, "mu", None):
-        mu = _node_values(args.mu, "--mu", g.n)
-    else:
-        mu = np.ones(g.n)
-    return g, build_be(g, mu)
-
-
-def _read_csv(path, flag: str) -> np.ndarray:
+    g = _read("--graph", args.graph, read_edge_list)
+    mu = _node_values("--mu", args.mu, g.n) if args.mu else np.ones(g.n)
     try:
-        return read_csv_matrix(path)
-    except FileNotFoundError:
-        raise _InputError(f"{flag} {path}: no such file") from None
-    except ValueError as exc:  # not a CSV of floats; numpy's message names the row
-        raise _InputError(f"{flag} {path}: {exc}") from None
+        return g, build_be(g, mu)
+    except ValueError as exc:  # negative, non-finite or zero-mass potential
+        raise _mu_error(args, exc) from None
 
 
-def _node_values(path, flag: str, n: int) -> np.ndarray:
+def _mu_error(args, exc: ValueError) -> _InputError:
+    """A potential that ``build_be`` or ``--normalized`` rejects, named by its file."""
+    source = f"--mu {args.mu}" if args.mu else f"--graph {args.graph}"
+    return _InputError(f"{source}: {exc}")
+
+
+def _node_values(flag: str, path, n: int) -> np.ndarray:
     """One value per node from a CSV file; its size must match the graph."""
-    values = _read_csv(path, flag).reshape(-1)
+    values = _read(flag, path, read_csv_matrix).reshape(-1)
     if values.size != n:
         raise _InputError(f"{flag} {path} has {values.size} values, the graph has n={n}")
     return values
@@ -67,24 +65,27 @@ def _node_values(path, flag: str, n: int) -> np.ndarray:
 
 def _node_rows(path, n: int) -> np.ndarray:
     """The ``--X`` feature matrix; it needs one row per node."""
-    x = _read_csv(path, "--X")
+    x = _read("--X", path, read_csv_matrix)
     if x.shape[0] != n:
         raise _InputError(f"--X {path} has {x.shape[0]} rows, the graph has n={n}")
     return x
 
 
 def cmd_gen(args) -> int:
+    """The train split of the run-config task with these settings."""
+    if args.count < 1:
+        raise _InputError(f"--count {args.count} must be at least 1")
+    task = {"barbell": {"n": args.n, "k_path": args.k_path},
+            "ring": {"n": args.n},
+            "graph-property": {"property": args.property, "p": args.p,
+                               "n_range": [args.n_min, args.n_max]}}[args.task]
+    try:
+        data = build_dataset({"name": args.task, **task, "counts": [args.count, 0, 0]},
+                             data_seed=args.seed)
+    except ValueError as exc:
+        raise _InputError(f"--task {args.task}: {exc}") from None
     out = Path(args.out)
-    for i in range(args.count):
-        seed = args.seed * 10_000_000 + i
-        if args.task == "barbell":
-            k = args.k_path
-            inst = gen_barbell((args.n - k) // 2, k, seed=seed)
-        elif args.task == "ring":
-            inst = gen_ring_routing(args.n, seed=seed)
-        else:
-            inst = gen_graph_property(args.property, [args.n_min, args.n_max],
-                                      seed=seed, p=args.p)
+    for i, inst in enumerate(data.train):
         dump_instance(out / f"instance_{i:04d}", inst)
     print(f"wrote {args.count} instances to {out}")
     return 0
@@ -92,7 +93,10 @@ def cmd_gen(args) -> int:
 
 def cmd_spectrum(args) -> int:
     g, be = _load_graph_mu(args)
-    op = normalized_be(be) if args.normalized else be.operator()
+    try:
+        op = normalized_be(be) if args.normalized else be.operator()
+    except IsolatedNodeUnderMu as exc:
+        raise _mu_error(args, exc) from None
     vals = eig_sym(op).eigenvalues
     rows = np.stack([np.arange(g.n, dtype=np.float64), vals], axis=1)
     write_csv_matrix(rows, args.out, header="k,lambda")
@@ -107,19 +111,16 @@ def cmd_diffuse(args) -> int:
         raise _InputError("--scheme euler needs a positive --dt")
     if args.scheme != "euler" and args.dt is not None:
         raise _InputError(f"--dt {args.dt} needs --scheme euler")
+    if not args.f0 and args.delta is None:
+        raise _InputError("either --f0 or --delta is required")
     g, be = _load_graph_mu(args)
     if args.f0:
-        f0 = _node_values(args.f0, "--f0", g.n)
-    elif args.delta is not None:
-        if not 0 <= args.delta < g.n:
-            print(f"--delta {args.delta} is not a node of the graph (n={g.n})",
-                  file=sys.stderr)
-            return 2
+        f0 = _node_values("--f0", args.f0, g.n)
+    elif not 0 <= args.delta < g.n:
+        raise _InputError(f"--delta {args.delta} is not a node of the graph (n={g.n})")
+    else:
         f0 = np.zeros(g.n)
         f0[args.delta] = 1.0
-    else:
-        print("either --f0 or --delta is required", file=sys.stderr)
-        return 2
     try:
         f = heat_flow(be, f0, args.t, scheme=args.scheme, dt=args.dt)
     except UnstableStep as exc:  # checked before any step is taken
@@ -131,18 +132,17 @@ def cmd_diffuse(args) -> int:
 
 def cmd_filter(args) -> int:
     g, be = _load_graph_mu(args)
-    coeffs = np.atleast_1d(_read_csv(args.coeffs, "--coeffs")).reshape(-1)
+    coeffs = _read("--coeffs", args.coeffs, read_csv_matrix).reshape(-1)
     if not coeffs.size:
         raise _InputError(f"--coeffs {args.coeffs} holds no coefficients")
-    if args.K is not None:
-        if args.K + 1 != coeffs.size:
-            print(f"--K {args.K} but {coeffs.size} coefficients given",
-                  file=sys.stderr)
-            return 2
-    filt = ChebFilter(coeffs)
+    if args.K is not None and args.K + 1 != coeffs.size:
+        raise _InputError(f"--K {args.K} but {coeffs.size} coefficients given")
     x = _node_rows(args.X, g.n)
-    y = cheb_apply_be(filt, be, x,
-                      kind="symmetric" if args.normalized else "unnormalized")
+    try:
+        y = cheb_apply_be(ChebFilter(coeffs), be, x,
+                          kind="symmetric" if args.normalized else "unnormalized")
+    except IsolatedNodeUnderMu as exc:
+        raise _mu_error(args, exc) from None
     write_csv_matrix(y, args.out)
     print(f"filtered signal -> {args.out}")
     return 0
@@ -153,14 +153,14 @@ def cmd_verify(args) -> int:
              else [name.strip() for name in args.suite.split(",")])
     unknown = [name for name in names if name not in SUITES]
     if unknown:
-        print(f"unknown suite(s) {unknown}; known: {sorted(SUITES)}", file=sys.stderr)
-        return 2
+        raise _InputError(f"unknown suite(s) {unknown}; known: {sorted(SUITES)}")
+    sizes = args.n.split(",") if args.n else []
+    if not all(v.strip().isdigit() and int(v) >= 5 for v in sizes):
+        raise _InputError(f"--n {args.n}: star sizes must be integers >= 5")
+    ns = [int(v) for v in sizes]
     reports = []
     for name in names:
-        kwargs = {}
-        if name == "star-bounds" and args.n:
-            kwargs["ns"] = [int(v) for v in args.n.split(",")]
-        report = run_suite(name, **kwargs)
+        report = run_suite(name, **({"ns": ns} if ns and name == "star-bounds" else {}))
         reports.append(report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {report['suite']}")
@@ -174,7 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig.from_json(args.config)
+    cfg = _read("--config", args.config, RunConfig.from_json)
     if args.out:
         cfg.out = args.out
     if args.seed is not None:
@@ -196,9 +196,9 @@ def _model_from_checkpoint(ckpt_dir):
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig.from_json(args.config)
+    cfg = _read("--config", args.config, RunConfig.from_json)
+    model = _read("--checkpoint", args.checkpoint, _model_from_checkpoint)
     data = build_dataset(cfg.task)
-    model = _model_from_checkpoint(args.checkpoint)
     metrics = evaluate(model, data, data.test)
     print(json.dumps(metrics, indent=2))
     if args.out:
@@ -207,15 +207,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_mu(args) -> int:
-    model = _model_from_checkpoint(args.checkpoint)
+    model = _read("--checkpoint", args.checkpoint, _model_from_checkpoint)
     if model.parameterizer is None:
-        print("checkpoint has no potential parameterizer", file=sys.stderr)
-        return 2
-    g = _read_graph(args.graph)
+        raise _InputError(f"--checkpoint {args.checkpoint} has no potential parameterizer")
+    g = _read("--graph", args.graph, read_edge_list)
     x = _node_rows(args.X, g.n).reshape(g.n, -1)
     if x.shape[1] != model.in_dim:
         raise _InputError(f"--X {args.X} has {x.shape[1]} columns, the checkpoint "
                           f"needs in_dim={model.in_dim}")
+    meta = (_read("--meta", args.meta, lambda p: json.loads(Path(p).read_text()))
+            if args.meta else {})
     tape = ad.Tape()
     _, mu = model.forward(tape, context_for(g), x)
     mu = mu.data.reshape(-1)
@@ -223,11 +224,9 @@ def cmd_export_mu(args) -> int:
     manifest = {"n": g.n, "node_order": "0-based ascending",
                 "mu_min": float(mu.min()), "mu_max": float(mu.max()),
                 "mu_mean": float(mu.mean())}
-    if args.meta:
-        meta = json.loads(Path(args.meta).read_text())
-        for key in ("clean_path", "noisy_path", "bridge", "bell_a", "bell_b"):
-            if key in meta:
-                manifest[f"mu_mean_{key}"] = float(mu[meta[key]].mean())
+    for key in ("clean_path", "noisy_path", "bridge", "bell_a", "bell_b"):
+        if key in meta:
+            manifest[f"mu_mean_{key}"] = float(mu[meta[key]].mean())
     Path(str(args.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"potential -> {args.out}")
     return 0
@@ -254,32 +253,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("spectrum", help="eigenvalues to CSV (k,lambda rows)")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mu")
+    on_graph = argparse.ArgumentParser(add_help=False)
+    on_graph.add_argument("--graph", required=True)
+    on_graph.add_argument("--mu")
+    on_graph.add_argument("--out", required=True)
+
+    p = sub.add_parser("spectrum", parents=[on_graph],
+                       help="eigenvalues to CSV (k,lambda rows)")
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("diffuse", help="heat flow under the weighted Laplacian")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mu")
+    p = sub.add_parser("diffuse", parents=[on_graph],
+                       help="heat flow under the weighted Laplacian")
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--f0")
     p.add_argument("--delta", type=int, help="start from a unit impulse here")
     p.add_argument("--scheme", choices=["spectral", "euler"], default="spectral")
     p.add_argument("--dt", type=float)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_diffuse)
 
-    p = sub.add_parser("filter", help="apply a scalar Chebyshev filter")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--mu")
+    p = sub.add_parser("filter", parents=[on_graph], help="apply a scalar Chebyshev filter")
     p.add_argument("--coeffs", required=True, help="CSV, one theta_k per line")
     p.add_argument("--K", type=int)
     p.add_argument("--X", required=True)
     p.add_argument("--normalized", action="store_true")
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("verify", help="run numerical verification suites")

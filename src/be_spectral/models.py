@@ -30,7 +30,7 @@ every edge weight is 1 and the operator is the combinatorial Laplacian.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -43,15 +43,24 @@ from .graphs import Graph
 from .operators import SymOperator
 
 
+def config_from_dict(cls, d, block: str):
+    """``cls(**d)``; a non-object ``d`` or an unknown or missing key raises ``ValueError``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{block} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {block} keys: {', '.join(unknown)}")
+    try:
+        return cls(**d)
+    except TypeError as exc:  # a required key is missing
+        raise ValueError(f"{block}: {exc}") from None
+
+
 @dataclass
 class MuConfig:
     layers: int = 2
     hidden: int = 16
     eps_floor: float = DEFAULT_MU_FLOOR
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MuConfig":
-        return cls(**d)
 
 
 @dataclass
@@ -79,17 +88,13 @@ class ModelConfig:
             raise ValueError("need K >= 0 and at least one layer")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        missing = object()
-        mu = d.pop("mu", missing)  # absent key keeps the default parameterizer
-        cfg = cls(**d)
-        if mu is not missing:
-            cfg.mu = MuConfig.from_dict(mu) if isinstance(mu, dict) else mu
+        cfg = config_from_dict(cls, d, "model")
+        if d.get("mu") is not None:  # absent keeps the default parameterizer, null drops it
+            cfg.mu = config_from_dict(MuConfig, d["mu"], "model.mu")
         return cfg
 
 

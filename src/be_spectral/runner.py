@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +24,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NaNLoss
 from .fileio import save_checkpoint, write_csv_matrix
-from .models import (ModelConfig, MuChebNet, accuracy, context_for,
-                     cross_entropy_loss, log10_mse, mse_loss)
+from .models import (ModelConfig, MuChebNet, accuracy, config_from_dict,
+                     context_for, cross_entropy_loss, log10_mse, mse_loss)
 from .tasks import TaskInstance, gen_barbell, gen_graph_property, gen_ring_routing
 
 
@@ -42,14 +42,13 @@ class RunConfig:
     out: str | None = None
 
     def to_dict(self) -> dict:
-        return {"task": self.task, "model": self.model, "optim": self.optim,
-                "epochs": self.epochs, "seeds": list(self.seeds),
-                "patience": self.patience, "eval_every": self.eval_every,
-                "batch_size": self.batch_size, "out": self.out}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**d)
+        cfg = config_from_dict(cls, d, "run-config")
+        ModelConfig.from_dict(cfg.model)  # a bad model block fails before any data is made
+        return cfg
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -147,16 +146,11 @@ def _make_splits(make, counts, seed):
 
 # --- loss / metric evaluation ---
 
-def _stack(instances):
-    x = np.stack([inst.X for inst in instances])
-    return x
-
-
 def _batch_loss(model: MuChebNet, data: TaskData, instances, tape: ad.Tape):
     """Forward + loss for one batch; returns (loss tensor, predictions, mus)."""
     if data.shared_graph:
         ctx = context_for(instances[0].graph)
-        pred, mu = model.forward(tape, ctx, _stack(instances))
+        pred, mu = model.forward(tape, ctx, np.stack([inst.X for inst in instances]))
         if data.loss_kind == "cross-entropy":
             query = instances[0].meta["query"]
             logits = ad.reshape(ad.take_nodes(pred, [query]),

@@ -13,6 +13,19 @@ from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 read_csv_matrix, read_edge_list,
                                 save_checkpoint, write_csv_matrix,
                                 write_edge_list)
+from be_spectral.runner import build_dataset
+
+TINY_RUN = {"task": {"name": "barbell", "n": 12, "k_path": 4,
+                     "counts": [6, 3, 4], "data_seed": 3},
+            "model": {"layers": 1, "K": 2, "hidden": 4}, "epochs": 1}
+
+
+def _checkpoint(directory, cfg=None, params=None):
+    """A checkpoint of an untrained one-input model (``params`` overrides its tensors)."""
+    cfg = cfg or ModelConfig(layers=1, K=2, hidden=4)
+    model = MuChebNet(1, cfg, seed=0)
+    return save_checkpoint(directory, model.params if params is None else params,
+                           meta={"model": cfg.to_dict(), "in_dim": 1, "seed": 0})
 
 
 class TestEdgeListFormat:
@@ -269,13 +282,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag} {bad}:" in err, err
 
-    @pytest.mark.parametrize("flag", ["--graph", "--mu", "--f0", "--X", "--coeffs"])
+    @pytest.mark.parametrize("flag", ["--graph", "--mu", "--f0", "--X", "--coeffs",
+                                      "train --config", "eval --config",
+                                      "eval --checkpoint", "export-mu --checkpoint",
+                                      "export-mu --meta"])
     def test_missing_input_file(self, tmp_path, capsys, flag):
         gpath, missing = tmp_path / "g.edges", tmp_path / "missing.csv"
         write_edge_list(ring_graph(6), gpath)
         six, theta = tmp_path / "six.csv", tmp_path / "theta.csv"
         write_csv_matrix(np.ones(6), six)
         write_csv_matrix(np.ones(2), theta)
+        config, ckpt = tmp_path / "run.json", _checkpoint(tmp_path / "ckpt")
+        config.write_text(json.dumps(TINY_RUN))
+        export = ["export-mu", "--graph", str(gpath), "--X", str(six)]
         out = tmp_path / "out.csv"
         argv = {"--graph": ["spectrum", "--graph", str(missing)],
                 "--mu": ["spectrum", "--graph", str(gpath), "--mu", str(missing)],
@@ -284,10 +303,19 @@ class TestCli:
                 "--X": ["filter", "--graph", str(gpath), "--coeffs", str(theta),
                         "--X", str(missing)],
                 "--coeffs": ["filter", "--graph", str(gpath), "--coeffs", str(missing),
-                             "--X", str(six)]}[flag]
+                             "--X", str(six)],
+                "train --config": ["train", "--config", str(missing)],
+                "eval --config": ["eval", "--config", str(missing),
+                                  "--checkpoint", str(ckpt)],
+                "eval --checkpoint": ["eval", "--config", str(config),
+                                      "--checkpoint", str(missing)],
+                "export-mu --checkpoint": export + ["--checkpoint", str(missing)],
+                "export-mu --meta": export + ["--checkpoint", str(ckpt),
+                                              "--meta", str(missing)]}[flag]
         assert main(argv + ["--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
+        flag = flag.split()[-1]
         assert err.count("\n") == 1 and f"{flag} {missing}: no such file" in err, err
 
     @pytest.mark.parametrize("K", [None, "0"])
@@ -323,6 +351,71 @@ class TestCli:
         assert len(list(out.iterdir())) == 3
         meta = json.loads((out / "instance_0000" / "meta.json").read_text())
         assert meta["n_clique"] == 4
+
+    @pytest.mark.parametrize("argv, named", [
+        (["--task", "barbell", "--n", "51", "--k-path", "4"], "--task barbell: total size 51"),
+        (["--task", "ring", "--n", "9"], "--task ring: ring routing needs even n"),
+        (["--task", "barbell", "--count", "0"], "--count 0")],
+        ids=["barbell-odd-size", "ring-odd-size", "count-0"])
+    def test_gen_rejects_what_train_rejects(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "data"
+        assert main(["gen", "--out", str(out)] + argv) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err, err
+
+    @pytest.mark.parametrize("argv, task", [
+        (["--task", "barbell", "--n", "14", "--k-path", "2"],
+         {"name": "barbell", "n": 14, "k_path": 2}),
+        (["--task", "ring", "--n", "10"], {"name": "ring", "n": 10}),
+        (["--task", "graph-property", "--property", "diameter", "--n-min", "6",
+          "--n-max", "9", "--p", "0.5"],
+         {"name": "graph-property", "property": "diameter", "n_range": [6, 9], "p": 0.5}),
+    ], ids=["barbell", "ring", "graph-property"])
+    def test_gen_writes_the_train_split(self, tmp_path, argv, task):
+        out, ref = tmp_path / "gen", tmp_path / "ref"
+        assert main(["gen", "--count", "3", "--seed", "4", "--out", str(out)] + argv) == 0
+        for i, inst in enumerate(build_dataset({**task, "counts": [3, 0, 0]},
+                                               data_seed=4).train):
+            dump_instance(ref / f"instance_{i:04d}", inst)
+        files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+        assert len(files) >= 12
+        assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file()) == files
+        for f in files:
+            assert (out / f).read_bytes() == (ref / f).read_bytes(), f
+
+    @pytest.mark.parametrize("case", ["negative", "nan", "zero-mass",
+                                      "spectrum-normalized", "filter-normalized"])
+    def test_unusable_potential(self, tmp_path, capsys, case):
+        gpath, mupath = tmp_path / "g.edges", tmp_path / "mu.csv"
+        write_edge_list(ring_graph(6), gpath)
+        mu = {"negative": [1, 1, -1, 1, 1, 1], "nan": [1, np.nan, 1, 1, 1, 1],
+              "zero-mass": [0] * 6}.get(case, [0, 0, 0, 1, 1, 1])  # node 1 isolated
+        write_csv_matrix(np.array(mu, dtype=np.float64), mupath)
+        write_csv_matrix(np.ones(2), tmp_path / "theta.csv")
+        write_csv_matrix(np.ones(6), tmp_path / "x.csv")
+        out = tmp_path / "out.csv"
+        argv = ["spectrum"] + (["--normalized"] if case == "spectrum-normalized" else [])
+        if case == "filter-normalized":
+            argv = ["filter", "--normalized", "--coeffs", str(tmp_path / "theta.csv"),
+                    "--X", str(tmp_path / "x.csv")]
+        assert main(argv + ["--graph", str(gpath), "--mu", str(mupath),
+                            "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--mu {mupath}: " in err, err
+
+    @pytest.mark.parametrize("sizes", ["a", "3", "5,x", "6,4"])
+    def test_verify_bad_sizes_rejected_before_any_suite_runs(
+            self, tmp_path, capsys, monkeypatch, sizes):
+        ran = []
+        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ran.append(name))
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "algebra,star-bounds", "--n", sizes,
+                     "--out", str(out)]) == 2
+        assert ran == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--n {sizes}" in err, err
 
     def test_verify_algebra_suite(self, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -443,3 +536,67 @@ class TestExportMuInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert all(part in err for part in expected), err
+
+
+class TestConfigAndCheckpointInputErrors:
+    @pytest.mark.parametrize("case, named", [
+        ("run-key", "epochz"), ("model-key", "layrs"), ("mu-key", "hiden"),
+        ("mu-not-object", "model.mu"), ("not-object", "run-config"),
+        ("no-model", "model"), ("not-json", "--config")])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_config_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                command, case, named):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        model = dict(TINY_RUN["model"])
+        config = {**TINY_RUN, "model": model}
+        if case == "run-key":
+            config["epochz"] = 3
+        elif case == "model-key":
+            model["layrs"] = 1
+        elif case == "mu-key":
+            model["mu"] = {"hiden": 4}
+        elif case == "mu-not-object":
+            model["mu"] = True
+        elif case == "not-object":
+            config = [config]
+        elif case == "no-model":
+            del config["model"]
+        path = tmp_path / "run.json"
+        path.write_text("{" if case == "not-json" else json.dumps(config))
+        argv = [command, "--config", str(path)]
+        if command == "eval":
+            argv += ["--checkpoint", str(_checkpoint(tmp_path / "ckpt"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--config {path}: " in err and named in err, err
+
+    @pytest.mark.parametrize("command, case", [
+        (command, case) for command in ("eval", "export-mu")
+        for case in ("shape", "names", "meta")] + [("export-mu", "no-parameterizer")])
+    def test_checkpoint_the_command_cannot_use(self, tmp_path, capsys, command, case):
+        params = MuChebNet(1, ModelConfig(layers=1, K=2, hidden=4), seed=0).params
+        if case == "shape":
+            ckpt = _checkpoint(tmp_path / "ckpt", ModelConfig(layers=1, K=2, hidden=8),
+                               params=params)
+        elif case == "names":
+            ckpt = _checkpoint(tmp_path / "ckpt", params={"stray": np.zeros(2), **params})
+        elif case == "meta":
+            ckpt = _checkpoint(tmp_path / "ckpt")
+            manifest = json.loads((ckpt / "manifest.json").read_text())
+            manifest["meta"]["model"]["operator"] = "bogus"
+            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            ckpt = _checkpoint(tmp_path / "ckpt", ModelConfig(layers=1, K=2, hidden=4,
+                                                                mu=None))
+        gpath, xpath, config = tmp_path / "g.edges", tmp_path / "x.csv", tmp_path / "run.json"
+        write_edge_list(ring_graph(6), gpath)
+        write_csv_matrix(np.ones(6), xpath)
+        config.write_text(json.dumps(TINY_RUN))
+        out = tmp_path / "out.json"
+        argv = {"eval": ["eval", "--config", str(config)],
+                "export-mu": ["export-mu", "--graph", str(gpath), "--X", str(xpath)]}[command]
+        assert main(argv + ["--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--checkpoint {ckpt}" in err, err

@@ -131,6 +131,23 @@ class TestTrainRun:
         with pytest.raises(ValueError, match="unknown optim keys: weight_decy"):
             train_run(cfg, seed=0)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"epochz": 3}, "unknown run-config keys: epochz"),
+        ({"model": {"layrs": 1}}, "unknown model keys: layrs"),
+        ({"model": {"mu": {"hiden": 4}}}, "unknown model.mu keys: hiden"),
+        ({"model": {"mu": True}}, "model.mu must be a JSON object, got bool"),
+        ({"model": {"K": -1}}, "K >= 0"),
+    ], ids=["run-key", "model-key", "mu-key", "mu-not-object", "model-value"])
+    def test_config_rejected_as_it_loads(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            tiny_barbell_config(**overrides)
+
+    def test_config_must_be_an_object_with_a_model(self):
+        with pytest.raises(ValueError, match="run-config must be a JSON object, got list"):
+            RunConfig.from_dict([])
+        with pytest.raises(ValueError, match="run-config: .*'model'"):
+            RunConfig.from_dict({"task": {"name": "barbell", "n": 12}})
+
     def test_minibatching_runs(self):
         cfg = tiny_barbell_config(batch_size=3, epochs=2)
         rec = train_run(cfg, seed=0)
