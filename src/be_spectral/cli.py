@@ -16,11 +16,11 @@ import numpy as np
 from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
 from .chebyshev import ChebFilter, cheb_apply_be
-from .errors import IsolatedNodeUnderMu, UnstableStep
+from .errors import DisconnectedAfterRetries, IsolatedNodeUnderMu, UnstableStep
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, context_for
-from .runner import RunConfig, build_dataset, evaluate, train_multi
+from .runner import RunConfig, build_dataset, evaluate, task_spec, train_multi
 from .spectral import eig_sym
 from .verify import SUITES, run_suite
 
@@ -71,6 +71,14 @@ def _node_rows(path, n: int) -> np.ndarray:
     return x
 
 
+def _dataset(source: str, task: dict, data_seed: int | None = None):
+    """``build_dataset``; a task it cannot make is one line naming ``source``."""
+    try:
+        return build_dataset(task, data_seed=data_seed)
+    except (ValueError, DisconnectedAfterRetries) as exc:
+        raise _InputError(f"{source}: {exc}") from None
+
+
 def cmd_gen(args) -> int:
     """The train split of the run-config task with these settings."""
     if args.count < 1:
@@ -79,11 +87,8 @@ def cmd_gen(args) -> int:
             "ring": {"n": args.n},
             "graph-property": {"property": args.property, "p": args.p,
                                "n_range": [args.n_min, args.n_max]}}[args.task]
-    try:
-        data = build_dataset({"name": args.task, **task, "counts": [args.count, 0, 0]},
-                             data_seed=args.seed)
-    except ValueError as exc:
-        raise _InputError(f"--task {args.task}: {exc}") from None
+    data = _dataset(f"--task {args.task}",
+                    {"name": args.task, **task, "counts": [args.count, 0, 0]}, args.seed)
     out = Path(args.out)
     for i, inst in enumerate(data.train):
         dump_instance(out / f"instance_{i:04d}", inst)
@@ -198,7 +203,14 @@ def _model_from_checkpoint(ckpt_dir):
 def cmd_eval(args) -> int:
     cfg = _read("--config", args.config, RunConfig.from_json)
     model = _read("--checkpoint", args.checkpoint, _model_from_checkpoint)
-    data = build_dataset(cfg.task)
+    needs = task_spec(cfg.task).kinds
+    has = {"in_dim": model.in_dim, "out_dim": model.config.out_dim,
+           "readout": model.config.readout}
+    wrong = [f"{k}={v} where the task needs {needs[k]}" for k, v in has.items() if v != needs[k]]
+    if wrong:
+        raise _InputError(f"--checkpoint {args.checkpoint} does not fit the --config "
+                          f"{args.config} task: {', '.join(wrong)}")
+    data = _dataset(f"--config {args.config}", cfg.task)
     metrics = evaluate(model, data, data.test)
     print(json.dumps(metrics, indent=2))
     if args.out:

@@ -15,6 +15,7 @@ Laplacian L = D - A.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -139,10 +140,13 @@ def dirichlet_form(g: Graph, f: np.ndarray, h: np.ndarray) -> float:
 
 # --- convenience constructors used across tasks and checks ---
 
+@lru_cache(maxsize=16)
 def ring_graph(n: int) -> Graph:
+    """Cycle 0 - 1 - ... - (n-1) - 0; memoized, every call with one n shares a graph."""
     if n < 3:
         raise ValueError("ring needs n >= 3")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return build_graph(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def path_graph(n: int) -> Graph:
@@ -162,22 +166,20 @@ def complete_graph(n: int) -> Graph:
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+@lru_cache(maxsize=16)
 def barbell_graph(n_clique: int, k_path: int) -> Graph:
     """Two complete graphs joined by a path of ``k_path`` bridge nodes.
 
     Nodes 0..n_clique-1 form the first bell, the next k_path nodes the
     bridge, the rest the second bell. The bells attach at nodes
-    n_clique - 1 and n_clique + k_path.
+    n_clique - 1 and n_clique + k_path. Memoized: every call with the same
+    sizes returns the same (immutable) graph.
     """
     if n_clique < 2:
         raise ValueError("bell size must be >= 2")
     if k_path < 1:
         raise ValueError("bridge must have at least one node")
-    a = list(range(n_clique))
-    bridge = list(range(n_clique, n_clique + k_path))
-    b = list(range(n_clique + k_path, 2 * n_clique + k_path))
-    edges = [(i, j) for i in a for j in a if i < j]
-    edges += [(i, j) for i in b for j in b if i < j]
-    chain = [a[-1]] + bridge + [b[0]]
-    edges += [(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
-    return build_graph(2 * n_clique + k_path, edges)
+    bell = np.stack(np.triu_indices(n_clique, k=1), axis=1)
+    chain = np.arange(n_clique - 1, n_clique + k_path + 1)  # a[-1], bridge, b[0]
+    edges = [bell, bell + n_clique + k_path, np.stack([chain[:-1], chain[1:]], axis=1)]
+    return build_graph(2 * n_clique + k_path, np.concatenate(edges))

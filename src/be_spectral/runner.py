@@ -1,6 +1,8 @@
 """Training / evaluation harness: datasets, runs, records.
 
-A run is fully described by a :class:`RunConfig`; re-running the same
+A run is fully described by a :class:`RunConfig`, whose model and task
+blocks are checked as it loads (:func:`task_spec` parses the task block
+once for that check and for :func:`build_dataset`); re-running the same
 config and seed on one platform reproduces every metric bit for bit
 (full-batch by default, seeded shuffling otherwise, deterministic
 aggregation order). When the run ends, its per-eval metrics are written
@@ -18,6 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,7 +29,9 @@ from .errors import NaNLoss
 from .fileio import save_checkpoint, write_csv_matrix
 from .models import (ModelConfig, MuChebNet, accuracy, config_from_dict,
                      context_for, cross_entropy_loss, log10_mse, mse_loss)
-from .tasks import TaskInstance, gen_barbell, gen_graph_property, gen_ring_routing
+from .graphs import barbell_graph
+from .tasks import (GRAPH_MODELS, PROPERTY_TASKS, TaskInstance, gen_barbell,
+                    gen_graph_property, gen_ring_routing, ring_routing_graph)
 
 
 @dataclass
@@ -47,7 +52,8 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = config_from_dict(cls, d, "run-config")
-        ModelConfig.from_dict(cfg.model)  # a bad model block fails before any data is made
+        ModelConfig.from_dict(cfg.model)  # bad model or task blocks fail before any data is made
+        task_spec(cfg.task)
         return cfg
 
     @classmethod
@@ -74,33 +80,72 @@ class TaskData:
     shared_graph: bool
 
 
-def _rebind_shared_graph(splits: list[list[TaskInstance]]) -> None:
-    """Fixed-topology tasks regenerate an identical graph per instance;
-    share one object so operator constants are computed once."""
+def _check_shared_graph(splits: list[list[TaskInstance]]) -> None:
+    """Check that a fixed-topology task's instances all hold one graph object.
+
+    ``barbell_graph`` and ``ring_graph`` are memoized, so every instance
+    already shares the graph; operator constants are then computed once.
+    """
     g0 = splits[0][0].graph
     for name, split in zip(("train", "val", "test"), splits):
         for i, inst in enumerate(split):
-            if inst.graph.n != g0.n or not np.array_equal(inst.graph.edges, g0.edges):
+            if inst.graph is not g0:
                 raise ValueError(f"{name} instance {i} has {inst.graph!r}, "
                                  f"not the shared {g0!r}")
-            inst.graph = g0
 
 
-def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
+class TaskSpec(NamedTuple):
+    """A parsed ``task`` block; ``kinds`` holds the :class:`TaskData` fields."""
+
+    make: Callable[[int], TaskInstance]  # instance from its seed
+    counts: list                         # train, val, test sizes
+    seed: int                            # data seed
+    kinds: dict
+
+
+def task_spec(task_cfg: dict, data_seed: int | None = None) -> TaskSpec:
+    """Parse a run-config ``task`` block; no instance is made.
+
+    Raises ``ValueError`` for a block that is not an object, an unknown task
+    name or key, a value of the wrong type, bad split counts or a barbell or
+    ring size the task cannot use (the shared graph is built here, once).
+    ``RunConfig.from_dict`` calls it to check the block as it loads,
+    ``build_dataset`` to make the data.
+    """
+    if not isinstance(task_cfg, dict):
+        raise ValueError(f"task must be a JSON object, got {type(task_cfg).__name__}")
     cfg = dict(task_cfg)
-    name = cfg.pop("name")
-    seed = int(cfg.pop("data_seed", 777) if data_seed is None else data_seed)
+    name = cfg.pop("name", None)
+    try:
+        spec = _parse_task(name, cfg, data_seed)
+    except TypeError as exc:  # e.g. int(None) for "n": null
+        raise ValueError(f"{name} task: {exc}") from None
+    if cfg:
+        raise ValueError(f"unknown {name} task keys: {', '.join(sorted(cfg))}")
+    if len(spec.counts) != 3 or min(spec.counts) < 0:
+        raise ValueError(f"{name} task counts {spec.counts} must be three "
+                         "nonnegative split sizes")
+    return spec
+
+
+def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
+    """The body of :func:`task_spec`; pops every key it knows from ``cfg``."""
+    seed = cfg.pop("data_seed", 777)
+    seed = int(seed if data_seed is None else data_seed)
     counts = cfg.pop("counts", None)
 
     if name == "barbell":
         k_path = int(cfg.pop("k_path", 4))
         if "n_clique" in cfg:
             n_clique = int(cfg.pop("n_clique"))
-        else:
+        elif "n" in cfg:
             total = int(cfg.pop("n"))
             if (total - k_path) % 2:
                 raise ValueError(f"total size {total} minus bridge {k_path} must be even")
             n_clique = (total - k_path) // 2
+        else:
+            raise ValueError("barbell task needs n or n_clique")
+        barbell_graph(n_clique, k_path)  # checks the sizes; memoized for the instances
         counts = counts or [64, 16, 32]
         make = lambda s: gen_barbell(n_clique, k_path, seed=s)
         kinds = dict(loss_kind="mse", metric="nmse", in_dim=1, out_dim=1,
@@ -109,6 +154,7 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
         n = int(cfg.pop("n", 16))
         classes = int(cfg.pop("classes", 10))
         noise = float(cfg.pop("noise_scale", 1.0))
+        ring_routing_graph(n)  # checks the size; memoized for the instances
         counts = counts or [256, 64, 128]
         make = lambda s: gen_ring_routing(n, num_classes=classes, seed=s,
                                           noise_scale=noise)
@@ -120,6 +166,12 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
         model = cfg.pop("model", "erdos-renyi")
         p = float(cfg.pop("p", 0.3))
         m_attach = int(cfg.pop("m_attach", 2))
+        if prop not in PROPERTY_TASKS:
+            raise ValueError(f"unknown property task {prop!r}; known: {', '.join(PROPERTY_TASKS)}")
+        if model not in GRAPH_MODELS:
+            raise ValueError(f"unknown graph model {model!r}; known: {', '.join(GRAPH_MODELS)}")
+        if not 1 <= int(n_range[0]) <= int(n_range[-1]):
+            raise ValueError(f"n_range {n_range} must be [lo, hi] with 1 <= lo <= hi")
         counts = counts or [512, 64, 128]
         make = lambda s: gen_graph_property(prop, n_range, seed=s, model=model,
                                             p=p, m_attach=m_attach)
@@ -129,19 +181,22 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
                      shared_graph=False)
     else:
         raise ValueError(f"unknown task {name!r}")
-    if cfg:
-        raise ValueError(f"unknown {name} task keys: {', '.join(sorted(cfg))}")
-
-    splits = _make_splits(make, counts, seed)
-    if kinds["shared_graph"]:
-        _rebind_shared_graph(splits)
-    return TaskData(*splits, **kinds)
+    return TaskSpec(make, [int(c) for c in counts], seed, kinds)
 
 
-def _make_splits(make, counts, seed):
+def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
+    """The train/val/test splits of a run-config ``task`` block.
+
+    Instance i of a split is made from the seed
+    ``data_seed * 10**7 + split offset (0, 10**6, 2 * 10**6) + i``.
+    """
+    spec = task_spec(task_cfg, data_seed)
     offsets = (0, 1_000_000, 2_000_000)
-    return [[make(seed * 10_000_000 + off + i) for i in range(count)]
-            for off, count in zip(offsets, counts)]
+    splits = [[spec.make(spec.seed * 10_000_000 + off + i) for i in range(count)]
+              for off, count in zip(offsets, spec.counts)]
+    if spec.kinds["shared_graph"]:
+        _check_shared_graph(splits)
+    return TaskData(*splits, **spec.kinds)
 
 
 # --- loss / metric evaluation ---

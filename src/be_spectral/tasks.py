@@ -3,6 +3,9 @@
 Every generator is a pure function of its parameters and seed: identical
 seeds give identical instances. Labels are produced by exact combinatorial
 oracles (means over fixed node sets, BFS distances), never by a model.
+Barbell and ring instances of one size hold the same immutable graph
+object (``barbell_graph``/``ring_graph`` are memoized); BFS runs level by
+level on the CSR arrays, every frontier node at once.
 
 Barbell targets are means of the opposite bell's features, so their
 variance is 1/n_clique; evaluation therefore reports MSE normalized by
@@ -11,7 +14,6 @@ the oversquashing band, and a global-average predictor about 0.5).
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,22 +80,50 @@ def gen_barbell(n_clique: int, k_path: int, seed: int) -> TaskInstance:
 
 # --- shortest-path machinery ---
 
-def bfs_distances(g: Graph, source: int) -> np.ndarray:
-    """Hop distances from ``source``; -1 marks unreachable nodes."""
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+def _bfs_rows(g: Graph, sources: np.ndarray) -> np.ndarray:
+    """Hop distances from each of ``sources`` (one row each), -1 if unreachable.
+
+    Level-synchronous: each level gathers the CSR neighbours of every
+    (row, node) pair on the frontier at once, keeps the unvisited ones and
+    deduplicates them by the key ``row * n + node``. Every pair enters the
+    frontier once, so the gathers of one source add up to 2m entries.
+    """
+    n = g.n
+    rows = np.arange(sources.size)
+    dist = np.full((sources.size, n), -1, dtype=np.int64)
+    dist[rows, sources] = 0
+    level = 0
+    while rows.size:
+        level += 1
+        starts = g.indptr[sources]
+        lens = g.indptr[sources + 1] - starts
+        ends = np.cumsum(lens)
+        rows = np.repeat(rows, lens)
+        nodes = g.indices[np.arange(ends[-1]) + np.repeat(starts - ends + lens, lens)]
+        new = dist[rows, nodes] < 0
+        key = np.unique(rows[new] * n + nodes[new])
+        rows, sources = key // n, key % n
+        dist[rows, sources] = level
     return dist
 
 
+def bfs_distances(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from ``source``; -1 marks unreachable nodes. O(n + m) memory."""
+    return _bfs_rows(g, np.arange(g.n)[[source]])[0]
+
+
+#: bound on the (row, neighbour) pairs one all-pairs level may gather
+_BFS_GATHER = 1 << 18
+
+
 def all_pairs_bfs(g: Graph) -> np.ndarray:
-    return np.stack([bfs_distances(g, s) for s in range(g.n)])
+    """(n, n) hop distances, row s from source s; -1 marks unreachable pairs.
+
+    Sources run in blocks whose gathers stay within max(n^2, 2^18) pairs.
+    """
+    block = max(1, max(g.n * g.n, _BFS_GATHER) // max(2 * g.m, 1))
+    return np.concatenate([_bfs_rows(g, np.arange(s, min(s + block, g.n)))
+                           for s in range(0, g.n, block)])
 
 
 def is_connected(g: Graph) -> bool:
@@ -126,6 +156,11 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator) -> Graph:
     return build_graph(n, edges)
 
 
+#: the labels and random graph models ``gen_graph_property`` knows
+PROPERTY_TASKS = ("diameter", "sssp", "eccentricity")
+GRAPH_MODELS = ("erdos-renyi", "barabasi-albert")
+
+
 def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi",
                        p: float = 0.3, m_attach: int = 2,
                        retries: int = 100) -> TaskInstance:
@@ -136,23 +171,23 @@ def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi"
     distance). Features are [1, degree] plus a source indicator channel
     for sssp.
     """
-    if task not in ("diameter", "sssp", "eccentricity"):
+    if task not in PROPERTY_TASKS:
         raise ValueError(f"unknown property task {task!r}")
+    if model not in GRAPH_MODELS:
+        raise ValueError(f"unknown graph model {model!r}")
     lo, hi = int(n_range[0]), int(n_range[-1])
     rng = _rng("graph-property", task, lo, hi, model, seed)
-    g = None
     for _ in range(retries):
         n = int(rng.integers(lo, hi + 1))
-        cand = (erdos_renyi(n, p, rng) if model == "erdos-renyi"
-                else barabasi_albert(n, m_attach, rng))
-        if is_connected(cand):
-            g = cand
+        g = (erdos_renyi(n, p, rng) if model == "erdos-renyi"
+             else barabasi_albert(n, m_attach, rng))
+        dist = all_pairs_bfs(g)
+        if (dist >= 0).all():  # connected
             break
-    if g is None:
+    else:
         raise DisconnectedAfterRetries(
             f"no connected {model} graph in {retries} draws (n in [{lo}, {hi}])")
 
-    dist = all_pairs_bfs(g)
     feats = [np.ones((g.n, 1)), g.degrees.astype(np.float64)[:, None]]
     meta = {"task": task, "model": model, "seed": seed, "n": g.n}
     if task == "sssp":
@@ -175,6 +210,13 @@ def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi"
 
 # --- ring routing ---
 
+def ring_routing_graph(n: int) -> Graph:
+    """The (memoized) ring a routing task runs on: even n >= 8."""
+    if n < 8 or n % 2:
+        raise ValueError("ring routing needs even n >= 8")
+    return ring_graph(n)
+
+
 def gen_ring_routing(n: int, num_classes: int = 10, seed: int = 0,
                      noise_scale: float = 1.0) -> TaskInstance:
     """Even ring with a one-hot class planted at the node opposite the query.
@@ -184,9 +226,7 @@ def gen_ring_routing(n: int, num_classes: int = 10, seed: int = 0,
     noise, the other side stays silent. Supervision is the class label at
     the query node alone.
     """
-    if n < 8 or n % 2:
-        raise ValueError("ring routing needs even n >= 8")
-    g = ring_graph(n)
+    g = ring_routing_graph(n)
     rng = _rng("ring-routing", n, num_classes, seed)
     query, answer = 0, n // 2
     side_a = list(range(1, n // 2))

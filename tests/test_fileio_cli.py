@@ -364,6 +364,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err, err
 
+    def test_gen_without_a_connected_graph(self, tmp_path, capsys):
+        out = tmp_path / "data"
+        assert main(["gen", "--task", "graph-property", "--p", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert "--task graph-property: no connected erdos-renyi graph" in err, err
+
     @pytest.mark.parametrize("argv, task", [
         (["--task", "barbell", "--n", "14", "--k-path", "2"],
          {"name": "barbell", "n": 14, "k_path": 2}),
@@ -570,6 +578,47 @@ class TestConfigAndCheckpointInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--config {path}: " in err and named in err, err
+
+    @pytest.mark.parametrize("task, named", [
+        ({"name": "barbel", "n": 12}, "unknown task 'barbel'"),
+        ({"name": "barbell", "n": 12, "kpath": 3}, "unknown barbell task keys: kpath"),
+        ({"name": "barbell", "n": 13}, "total size 13 minus bridge 4 must be even"),
+        ({"name": "ring", "n": 9}, "ring routing needs even n >= 8"),
+        ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
+    ], ids=["name", "key", "odd-barbell", "odd-ring", "property"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_bad_task_block_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                    command, task, named):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_RUN, "task": task}))
+        argv = [command, "--config", str(path)]
+        if command == "eval":
+            argv += ["--checkpoint", str(_checkpoint(tmp_path / "ckpt"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    @pytest.mark.parametrize("task, named", [
+        ({"name": "ring", "n": 10}, "in_dim=1 where the task needs 10, "
+                                    "out_dim=1 where the task needs 10"),
+        ({"name": "graph-property", "property": "sssp"}, "in_dim=1 where the task needs 3"),
+        ({"name": "graph-property", "property": "diameter"},
+         "in_dim=1 where the task needs 2, readout=node where the task needs graph"),
+    ], ids=["ring", "sssp", "diameter"])
+    def test_eval_checkpoint_that_does_not_fit_the_task(self, tmp_path, capsys, monkeypatch,
+                                                         task, named):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        config, out = tmp_path / "run.json", tmp_path / "eval.json"
+        config.write_text(json.dumps({**TINY_RUN, "task": task}))
+        ckpt = _checkpoint(tmp_path / "ckpt")  # a one-input barbell model
+        assert main(["eval", "--config", str(config), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--checkpoint {ckpt} does not fit" in err, err
+        assert named in err, err
 
     @pytest.mark.parametrize("command, case", [
         (command, case) for command in ("eval", "export-mu")

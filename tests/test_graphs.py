@@ -220,3 +220,41 @@ class TestDirichletForm:
         for _ in range(25):
             f = rng.standard_normal(7)
             assert dirichlet_form(g, f, f) >= 0.0
+
+
+class TestMemoizedConstructors:
+    """``barbell_graph`` and ``ring_graph`` build each size once and share it."""
+
+    @staticmethod
+    def _barbell_edges(c, k):
+        a, b = range(c), range(c + k, 2 * c + k)
+        edges = [(i, j) for i in a for j in a if i < j]
+        edges += [(i, j) for i in b for j in b if i < j]
+        chain = [c - 1, *range(c, c + k), c + k]
+        return edges + list(zip(chain, chain[1:]))
+
+    @staticmethod
+    def _assert_same_graph(g, ref):
+        assert g.n == ref.n
+        for name in ("edges", "indptr", "indices"):
+            a = getattr(g, name)
+            npt.assert_array_equal(a, getattr(ref, name))
+            assert a.dtype == getattr(ref, name).dtype and not a.flags.writeable
+
+    @pytest.mark.parametrize("c, k", [(2, 1), (3, 2), (5, 3), (23, 4)])
+    def test_barbell_graph(self, c, k):
+        g = barbell_graph(c, k)
+        assert barbell_graph(c, k) is g
+        self._assert_same_graph(g, build_graph(2 * c + k, self._barbell_edges(c, k)))
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 16])
+    def test_ring_graph(self, n):
+        g = ring_graph(n)
+        assert ring_graph(n) is g
+        self._assert_same_graph(g, build_graph(n, [(i, (i + 1) % n) for i in range(n)]))
+
+    def test_bad_sizes_still_raise(self):
+        for make, args in [(barbell_graph, (1, 2)), (barbell_graph, (3, 0)),
+                           (ring_graph, (2,))]:
+            with pytest.raises(ValueError):
+                make(*args)

@@ -11,6 +11,7 @@ from be_spectral import autodiff as ad, runner
 from be_spectral.runner import (RunConfig, build_dataset, evaluate, train_multi,
                                 train_run)
 from be_spectral.models import ModelConfig, MuChebNet
+from be_spectral.graphs import barbell_graph, ring_graph
 from be_spectral.tasks import gen_barbell
 from be_spectral.verify import gradcheck_error, numeric_gradient
 
@@ -40,10 +41,20 @@ class TestBuildDataset:
         # different instances still have different features
         assert not np.array_equal(data.train[0].X, data.train[1].X)
 
+    @pytest.mark.parametrize("task, graph", [
+        ({"name": "barbell", "n": 50, "k_path": 4}, lambda: barbell_graph(23, 4)),
+        ({"name": "barbell", "n_clique": 3, "k_path": 1}, lambda: barbell_graph(3, 1)),
+        ({"name": "ring", "n": 16}, lambda: ring_graph(16)),
+    ], ids=["barbell-50", "barbell-n_clique", "ring-16"])
+    def test_fixed_topology_instances_share_the_memoized_graph(self, task, graph):
+        data = build_dataset({**task, "counts": [3, 2, 2], "data_seed": 0})
+        g = graph()
+        assert all(inst.graph is g for inst in data.train + data.val + data.test)
+
     def test_shared_graph_mismatch_rejected(self):
         splits = [[gen_barbell(5, 2, seed=0)], [gen_barbell(6, 2, seed=1)]]
         with pytest.raises(ValueError, match="val instance 0"):
-            runner._rebind_shared_graph(splits)
+            runner._check_shared_graph(splits)
 
     def test_barbell_odd_total_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -75,6 +86,12 @@ class TestBuildDataset:
     def test_misspelled_task_key_rejected(self, task, key):
         with pytest.raises(ValueError, match=f"unknown {task['name']} task keys: {key}"):
             build_dataset(task)
+
+    def test_data_seed_argument_overrides_the_key(self):
+        task = {"name": "barbell", "n": 12, "counts": [2, 0, 0]}
+        given = build_dataset({**task, "data_seed": 0}, data_seed=5)
+        npt.assert_array_equal(given.train[1].X,
+                               build_dataset({**task, "data_seed": 5}).train[1].X)
 
     def test_data_seed_controls_instances(self):
         d1 = build_dataset({"name": "barbell", "n": 12, "counts": [2, 1, 1],
@@ -141,6 +158,29 @@ class TestTrainRun:
     def test_config_rejected_as_it_loads(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_barbell_config(**overrides)
+
+    @pytest.mark.parametrize("task, message", [
+        ({"name": "barbel", "n": 12}, "unknown task 'barbel'"),
+        ({"name": "barbell", "n": 12, "kpath": 3}, "unknown barbell task keys: kpath"),
+        ({"name": "barbell", "n": 13}, "total size 13 minus bridge 4 must be even"),
+        ({"name": "barbell"}, "barbell task needs n or n_clique"),
+        ({"name": "barbell", "n": 6, "k_path": 4}, "bell size must be >= 2"),
+        ({"name": "ring", "n": 9}, "ring routing needs even n >= 8"),
+        ({"name": "ring", "n": None}, "ring task: int"),
+        ({"name": "ring", "counts": [4, 2]}, r"ring task counts \[4, 2\]"),
+        ({"name": "ring", "counts": [4, -1, 2]}, "nonnegative"),
+        ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
+        ({"name": "graph-property", "model": "watts"}, "unknown graph model 'watts'"),
+        ({"name": "graph-property", "n_range": [9, 4]}, r"n_range \[9, 4\]"),
+        (["barbell"], "task must be a JSON object, got list"),
+    ], ids=["name", "key", "odd-barbell", "no-size", "one-node-bells", "odd-ring", "null",
+            "two-counts",
+            "negative-count", "property", "graph-model", "n_range", "not-object"])
+    def test_task_block_rejected_as_it_loads(self, monkeypatch, task, message):
+        for gen in ("gen_barbell", "gen_ring_routing", "gen_graph_property"):
+            monkeypatch.setattr(runner, gen, lambda *a, **k: pytest.fail("data made"))
+        with pytest.raises(ValueError, match=message):
+            tiny_barbell_config(task=task)
 
     def test_config_must_be_an_object_with_a_model(self):
         with pytest.raises(ValueError, match="run-config must be a JSON object, got list"):

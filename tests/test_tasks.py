@@ -7,6 +7,7 @@ import pytest
 from be_spectral import (all_pairs_bfs, barabasi_albert, bfs_distances,
                          erdos_renyi, gen_barbell, gen_graph_property,
                          gen_ring_routing, path_graph, star_graph)
+from be_spectral import tasks
 from be_spectral.errors import DisconnectedAfterRetries
 from be_spectral.tasks import is_connected
 
@@ -96,6 +97,52 @@ class TestShortestPathOracles:
                 for v in range(g.n):
                     expected = lengths.get(v, -1)
                     assert ours[s, v] == expected
+
+
+class TestArrayBfsAgainstNetworkx:
+    """The level-synchronous BFS gives networkx's hop counts, -1 when unreachable."""
+
+    @staticmethod
+    def _networkx_distances(g):
+        nxg = nx.Graph()
+        nxg.add_nodes_from(range(g.n))
+        nxg.add_edges_from(map(tuple, g.edges))
+        dist = np.full((g.n, g.n), -1, dtype=np.int64)
+        for s, lengths in nx.all_pairs_shortest_path_length(nxg):
+            for v, d in lengths.items():
+                dist[s, v] = d
+        return dist, nx.is_connected(nxg)
+
+    @pytest.mark.parametrize("gather", ["default", "one-source-blocks"])
+    @pytest.mark.parametrize("n, p", [(1, 0.0), (2, 0.0), (2, 1.0), (7, 0.0), (30, 0.04),
+                                      (30, 0.1), (25, 0.3), (40, 0.9)])
+    def test_random_graphs(self, monkeypatch, gather, n, p):
+        if gather == "one-source-blocks":  # all_pairs_bfs then runs one source per block
+            monkeypatch.setattr(tasks, "_BFS_GATHER", 1)
+        rng = np.random.default_rng(n * 1000 + int(p * 100))
+        for _ in range(6):
+            g = erdos_renyi(n, p, rng)
+            expected, connected = self._networkx_distances(g)
+            dist = all_pairs_bfs(g)
+            assert dist.dtype == np.int64
+            npt.assert_array_equal(dist, expected)
+            for s in range(n):
+                d = bfs_distances(g, s)
+                assert d.dtype == np.int64
+                npt.assert_array_equal(d, expected[s])
+            assert is_connected(g) == connected
+
+    def test_disconnected_graph_of_two_components(self):
+        from be_spectral import build_graph
+        g = build_graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 3)])
+        expected, connected = self._networkx_distances(g)
+        npt.assert_array_equal(all_pairs_bfs(g), expected)
+        assert not connected and not is_connected(g)
+        npt.assert_array_equal(bfs_distances(g, 5), [-1, -1, -1, 2, 1, 0, 1])
+
+    def test_source_outside_graph(self):
+        with pytest.raises(IndexError):
+            bfs_distances(path_graph(3), 3)
 
 
 class TestRandomGraphModels:
