@@ -131,7 +131,7 @@ def cheb_spectral_oracle(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np
         raise ValueError("oracle needs an explicit lambda_max")
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1)
-    dec = eig_sym(op)
+    dec = eig_sym(op, vectors=True)
     lam_s = 2.0 * dec.eigenvalues / filt.lambda_max - 1.0
     u = dec.eigenvectors
     ut_x = u.T @ cols

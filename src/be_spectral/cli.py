@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
 from .chebyshev import ChebFilter, cheb_apply_be
-from .errors import DisconnectedAfterRetries, IsolatedNodeUnderMu, UnstableStep
+from .errors import (DisconnectedAfterRetries, HeatSeriesTooLong, IsolatedNodeUnderMu,
+                     UnstableStep)
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, context_for
@@ -110,8 +111,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_diffuse(args) -> int:
-    if not args.t >= 0.0:
-        raise _InputError(f"--t {args.t} must be nonnegative")
+    if not 0.0 <= args.t < np.inf:
+        raise _InputError(f"--t {args.t} must be finite and nonnegative")
     if args.scheme == "euler" and (args.dt is None or not args.dt > 0.0):
         raise _InputError("--scheme euler needs a positive --dt")
     if args.scheme != "euler" and args.dt is not None:
@@ -130,6 +131,8 @@ def cmd_diffuse(args) -> int:
         f = heat_flow(be, f0, args.t, scheme=args.scheme, dt=args.dt)
     except UnstableStep as exc:  # checked before any step is taken
         raise _InputError(f"--dt: {exc}") from None
+    except HeatSeriesTooLong as exc:  # checked before any term is made
+        raise _InputError(f"--t {args.t}: {exc}") from None
     write_csv_matrix(f, args.out)
     print(f"diffused to t={args.t} -> {args.out}")
     return 0
@@ -184,7 +187,10 @@ def cmd_train(args) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seeds = [args.seed]
-    summary = train_multi(cfg, parallel=args.parallel_seeds)
+    try:
+        summary = train_multi(cfg, parallel=args.parallel_seeds)
+    except DisconnectedAfterRetries as exc:  # the parse cannot see this one
+        raise _InputError(f"--config {args.config}: {exc}") from None
     for rec in summary["per_seed"]:
         print(f"seed {rec['seed']}: test {json.dumps(rec['test'])}")
     for key, agg in summary["aggregate"].items():

@@ -18,6 +18,10 @@ class UnstableStep(ValueError):
     """Explicit Euler step size violates the stability bound dt < 2/lambda_max."""
 
 
+class HeatSeriesTooLong(ValueError):
+    """Heat flow to this time needs more series terms than run, on a graph past DENSE_LIMIT."""
+
+
 class NaNLoss(RuntimeError):
     """Training produced a non-finite loss or parameter; run aborted."""
 

@@ -107,8 +107,10 @@ def task_spec(task_cfg: dict, data_seed: int | None = None) -> TaskSpec:
     """Parse a run-config ``task`` block; no instance is made.
 
     Raises ``ValueError`` for a block that is not an object, an unknown task
-    name or key, a value of the wrong type, bad split counts or a barbell or
-    ring size the task cannot use (the shared graph is built here, once).
+    name or key, a value of the wrong type, bad split counts, a barbell or
+    ring size the task cannot use (the shared graph is built here, once),
+    fewer than one ring class or an erdos-renyi edge probability ``p``
+    outside (0, 1].
     ``RunConfig.from_dict`` calls it to check the block as it loads,
     ``build_dataset`` to make the data.
     """
@@ -154,6 +156,8 @@ def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
         n = int(cfg.pop("n", 16))
         classes = int(cfg.pop("classes", 10))
         noise = float(cfg.pop("noise_scale", 1.0))
+        if classes < 1:
+            raise ValueError(f"ring task classes {classes} must be at least 1")
         ring_routing_graph(n)  # checks the size; memoized for the instances
         counts = counts or [256, 64, 128]
         make = lambda s: gen_ring_routing(n, num_classes=classes, seed=s,
@@ -170,6 +174,8 @@ def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
             raise ValueError(f"unknown property task {prop!r}; known: {', '.join(PROPERTY_TASKS)}")
         if model not in GRAPH_MODELS:
             raise ValueError(f"unknown graph model {model!r}; known: {', '.join(GRAPH_MODELS)}")
+        if model == "erdos-renyi" and not 0.0 < p <= 1.0:
+            raise ValueError(f"graph-property task p {p} must be in (0, 1]")
         if not 1 <= int(n_range[0]) <= int(n_range[-1]):
             raise ValueError(f"n_range {n_range} must be [lo, hi] with 1 <= lo <= hi")
         counts = counts or [512, 64, 128]

@@ -1,11 +1,12 @@
 """Dense symmetric eigendecomposition and Rayleigh-quotient machinery.
 
-The eigensolver is LAPACK's symmetric driver (``numpy.linalg.eigh``) with
-a fixed sign convention on the eigenvectors. Results are bit-stable across
-runs for a given platform, LAPACK build and BLAS thread count; they may
-differ in the last bits between machines or thread counts. The spectral
-radius of operators too large to densify comes from a short Lanczos run
-(:func:`lambda_max_power`).
+The eigensolver is LAPACK's symmetric routine (``numpy.linalg.eigh``) with
+a fixed sign convention on the eigenvectors, or its eigenvalues-only
+routine (``numpy.linalg.eigvalsh``) where no eigenvector is needed.
+Results are bit-stable across runs for a given platform, LAPACK build and
+BLAS thread count; they may differ in the last bits between machines or
+thread counts. The spectral radius of operators too large to densify
+comes from a short Lanczos run (:func:`lambda_max_power`).
 
 On top of it sit the Rayleigh quotient, the per-node variation profile
 (squared local variation normalized to a probability distribution), the
@@ -40,15 +41,21 @@ def _fix_signs(u: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Ascending eigenvalues with a paired orthonormal eigenvector matrix."""
+    """Ascending eigenvalues with a paired orthonormal eigenvector matrix.
 
-    eigenvalues: np.ndarray   # (n,) ascending
-    eigenvectors: np.ndarray  # (n, n), column k pairs with eigenvalue k
+    ``eigenvectors`` is None when only the eigenvalues were asked for.
+    """
+
+    eigenvalues: np.ndarray          # (n,) ascending
+    eigenvectors: np.ndarray | None  # (n, n), column k pairs with eigenvalue k
 
 
-def eig_sym(op) -> SpectralDecomposition:
-    """Full eigendecomposition of a symmetric operator (dense, n <= 4096).
+def eig_sym(op, vectors: bool = False) -> SpectralDecomposition:
+    """Eigenvalues, and with ``vectors=True`` eigenvectors, of a symmetric operator.
 
+    Dense LAPACK, n <= 4096. By default it calls the eigenvalues-only
+    routine (``eigvalsh``) and returns no eigenvectors; ``vectors=True``
+    calls ``eigh``, whose eigenvalues may differ at rounding level.
     Deterministic for fixed input bits, platform and BLAS thread count;
     eigenvector signs are normalized so the first non-negligible component
     is positive.
@@ -60,6 +67,10 @@ def eig_sym(op) -> SpectralDecomposition:
     n = mat.shape[0]
     if n > DENSE_LIMIT:
         raise ValueError(f"n={n} exceeds the dense eigensolver limit {DENSE_LIMIT}")
+    if not vectors:
+        vals = np.linalg.eigvalsh(mat)
+        vals.setflags(write=False)
+        return SpectralDecomposition(eigenvalues=vals, eigenvectors=None)
     vals, vecs = np.linalg.eigh(mat)
     vecs = _fix_signs(vecs) if n else vecs
     vals.setflags(write=False)

@@ -1,4 +1,7 @@
 """Potential-weighted Laplacian: assembly, decomposition, normalization, heat flow."""
+import re
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from be_spectral import (advection_decomposition, build_be, eig_sym,
                          floor_potential, heat_flow, laplacian, normalized_be,
                          ring_graph, star_graph, SymOperator)
-from be_spectral.errors import IsolatedNodeUnderMu, UnstableStep
-from be_spectral.graphs import build_graph, complete_graph
+from be_spectral import be as be_mod
+from be_spectral.be import HEAT_COEFF_TOL, MAX_HEAT_TERMS, heat_term_budget, scaled_bessel_i
+from be_spectral.errors import HeatSeriesTooLong, IsolatedNodeUnderMu, UnstableStep
+from be_spectral.graphs import barbell_graph, build_graph, complete_graph
 from be_spectral.operators import DENSE_LIMIT
 from be_spectral.verify import random_graph
 
@@ -261,5 +266,144 @@ class TestHeatFlow:
 
     def test_negative_time_rejected(self):
         be = build_be(ring_graph(4), np.ones(4))
-        with pytest.raises(ValueError, match="nonnegative"):
-            heat_flow(be, np.ones(4), -1.0)
+        for t in (-1.0, np.inf, np.nan):  # the series needs a finite time
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                heat_flow(be, np.ones(4), t)
+
+
+def only_path(monkeypatch, path):
+    """Make ``heat_flow(scheme="spectral")`` take ``path`` and fail on the other."""
+    other = {"series": "_heat_eig", "eig": "_heat_series"}[path]
+    monkeypatch.setattr(be_mod, other, lambda *a: pytest.fail(f"{other} ran"))
+    monkeypatch.setattr(be_mod, "heat_term_budget",
+                        lambda n: MAX_HEAT_TERMS if path == "series" else 0.0)
+
+
+class TestHeatSeries:
+    """The ``spectral`` scheme: a Chebyshev series, or past its term budget one
+    dense eigendecomposition; ``eigh`` is the oracle of both."""
+
+    @staticmethod
+    def eigh_reference(be, f0, t):
+        lam, u = np.linalg.eigh(be.matrix())
+        decay = np.exp(-t * np.maximum(lam, 0.0))
+        return u @ (decay.reshape(-1, *[1] * (f0.ndim - 1)) * (u.T @ f0))
+
+    @pytest.mark.parametrize("path", ["series", "eig"])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("cols", [1, 3])
+    def test_matches_eigh_and_conserves_mass(self, monkeypatch, path, t, cols):
+        only_path(monkeypatch, path)
+        rng = np.random.default_rng(int(1000 * t) + cols)
+        graphs = [random_graph(rng) for _ in range(6)]
+        graphs += [barbell_graph(5, 2), barbell_graph(20, 8)]
+        for g in graphs:
+            be = build_be(g, rng.uniform(0.05, 3.0, g.n))
+            f0 = rng.standard_normal(g.n if cols == 1 else (g.n, cols))
+            want = self.eigh_reference(be, f0, t)
+            got = heat_flow(be, f0, t)
+            assert got.shape == f0.shape
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            drift = np.abs(got.sum(axis=0) - f0.sum(axis=0)).max()
+            assert drift <= 1e-10 * np.abs(f0).sum(axis=0).max()
+
+    def test_no_edge_weight_returns_f0(self):
+        f0 = np.arange(5.0)
+        for g, mu in [(build_graph(5, []), np.ones(5)),
+                      # every edge joins two zero-potential nodes: L_mu = 0
+                      (build_graph(5, [(0, 1), (1, 2)]), [0.0, 0.0, 0.0, 1.0, 1.0])]:
+            f = heat_flow(build_be(g, mu), f0, 2.0)
+            npt.assert_array_equal(f, f0)
+            assert f is not f0
+
+    def test_runs_far_above_dense_limit_in_linear_memory(self):
+        n = 20_000
+        rng = np.random.default_rng(21)
+        chords = rng.integers(0, n, size=(2 * n, 2))
+        chords = chords[chords[:, 0] != chords[:, 1]]
+        ring = np.stack([np.arange(n), (np.arange(n) + 1) % n], 1)
+        be = build_be(build_graph(n, np.concatenate([ring, chords])),
+                      rng.uniform(0.1, 2.0, n))
+        f0 = np.zeros(n)
+        f0[0] = 1.0
+        tracemalloc.start()
+        try:
+            f = heat_flow(be, f0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak  # a dense n x n matrix would take 3.2 GB
+        assert abs(f.sum() - 1.0) <= 1e-10
+        assert f[0] < 1.0 and f.min() >= -1e-12
+
+    def test_path_follows_the_term_budget(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        be = build_be(ring_graph(100), rng.uniform(0.1, 2.0, 100))
+        f0 = rng.standard_normal(100)
+        lam = 2.0 * be.degrees.max()
+        # the largest t whose series starts within the budget, and a bit past it
+        t_edge = 2.0 * ((heat_term_budget(100) - 40.0) / 10.0) ** 2 / lam
+        for t, path in [(1.0, "series"), (0.99 * t_edge, "series"),
+                        (1.01 * t_edge, "eig"), (1e4, "eig")]:
+            with monkeypatch.context() as m:
+                other = {"series": "_heat_eig", "eig": "_heat_series"}[path]
+                m.setattr(be_mod, other, lambda *a: pytest.fail(f"t={t}: {other} ran"))
+                heat_flow(be, f0, t)
+
+    def test_budget_grows_with_n_up_to_dense_limit(self):
+        assert heat_term_budget(100) < heat_term_budget(1000) < MAX_HEAT_TERMS
+        assert heat_term_budget(DENSE_LIMIT) == heat_term_budget(10 * DENSE_LIMIT) \
+            == MAX_HEAT_TERMS
+
+    @pytest.mark.parametrize("t", [1e8, 1e300, 1.7e308])
+    def test_any_finite_time_reaches_the_mean(self, t):
+        # past the budget the eigendecomposition runs; eigenvalues at rounding
+        # level count as zero, so the constant mode keeps its weight
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            g = random_graph(rng, connected=True)
+            be = build_be(g, rng.uniform(0.1, 2.0, g.n))
+            f0 = rng.standard_normal((g.n, 2))
+            f = heat_flow(be, f0, t)
+            npt.assert_allclose(f, np.broadcast_to(f0.mean(axis=0), f0.shape),
+                                rtol=0, atol=1e-12 * np.abs(f0).max())
+
+    @pytest.mark.parametrize("t", [1e9, 1e300])
+    def test_long_time_refused_above_dense_limit(self, t):
+        be, rng = large_ring_be(24)
+        f0 = rng.standard_normal(be.graph.n)
+        with pytest.raises(HeatSeriesTooLong, match=re.escape(f"t = {t:g} needs about ")):
+            heat_flow(be, f0, t)
+        # a time within the budget still runs at this size
+        assert abs(heat_flow(be, f0, 1e3).sum() - f0.sum()) <= 1e-9 * np.abs(f0).sum()
+
+
+class TestScaledBessel:
+    @pytest.mark.parametrize("a", [0.0, 1e-300, 1e-6, 0.3, 1.0, 7.5, 60.0, 700.0, 1e5])
+    def test_sum_identity_and_cut(self, a):
+        terms = scaled_bessel_i(a)
+        assert terms[0] + 2.0 * terms[1:].sum() == pytest.approx(1.0, rel=0, abs=1e-15)
+        assert (terms[1:] >= HEAT_COEFF_TOL).all()
+        assert (np.diff(terms) <= 0.0).all()
+        assert len(terms) <= 10.0 * np.sqrt(a) + 40
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-3, 0.5, 2.0, 20.0, 200.0])
+    def test_order_zero_matches_numpy(self, a):
+        assert scaled_bessel_i(a)[0] == pytest.approx(np.exp(-a) * np.i0(a), rel=1e-14)
+
+    def test_zero_argument_is_the_identity(self):
+        npt.assert_array_equal(scaled_bessel_i(0.0), [1.0])
+        for a in (-1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                scaled_bessel_i(a)
+
+    @pytest.mark.parametrize("a", [1.3e8, 1e300])
+    def test_argument_past_the_term_limit_refused_before_any_work(self, a):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(f"Bessel argument {a:g} needs ")):
+                scaled_bessel_i(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak

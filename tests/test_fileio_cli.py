@@ -214,13 +214,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert f"--delta {delta}" in err and "n=6" in err
 
-    @pytest.mark.parametrize("case", ["negative-t", "euler-without-dt", "unstable-dt",
-                                      "dt-without-euler"])
+    @pytest.mark.parametrize("case", ["negative-t", "infinite-t", "euler-without-dt",
+                                      "unstable-dt", "dt-without-euler"])
     def test_diffuse_bad_time_or_step(self, tmp_path, capsys, case):
         gpath = tmp_path / "g.edges"
         write_edge_list(ring_graph(6), gpath)  # lambda_max = 4, so dt < 0.5
         out = tmp_path / "f.csv"
         argv, flag = {"negative-t": (["--t", "-1"], "--t -1.0"),
+                      "infinite-t": (["--t", "inf"], "--t inf"),
                       "euler-without-dt": (["--t", "1", "--scheme", "euler"], "--dt"),
                       "unstable-dt": (["--t", "1", "--scheme", "euler", "--dt", "0.6"],
                                       "--dt"),
@@ -230,6 +231,28 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and flag in err, err
+
+    def test_diffuse_any_finite_time(self, tmp_path):
+        gpath = tmp_path / "g.edges"
+        write_edge_list(ring_graph(6), gpath)
+        out = tmp_path / "f.csv"
+        assert main(["diffuse", "--graph", str(gpath), "--t", "1e300",
+                     "--delta", "0", "--out", str(out)]) == 0
+        npt.assert_allclose(read_csv_matrix(out), np.full(6, 1 / 6), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("t", ["1e9", "1e300"])
+    def test_diffuse_time_past_the_series_limit(self, tmp_path, capsys, t):
+        # above DENSE_LIMIT nodes there is no dense path to fall back on
+        gpath = tmp_path / "g.edges"
+        write_edge_list(ring_graph(5000), gpath)
+        out = tmp_path / "f.csv"
+        assert main(["diffuse", "--graph", str(gpath), "--t", t,
+                     "--delta", "0", "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert f"--t {float(t)}: t = {float(t):g} needs about" in err, err
+        assert "Chebyshev terms" in err and "n = 4096" in err, err
 
     def test_filter_command(self, tmp_path):
         g = ring_graph(5)
@@ -355,8 +378,10 @@ class TestCli:
     @pytest.mark.parametrize("argv, named", [
         (["--task", "barbell", "--n", "51", "--k-path", "4"], "--task barbell: total size 51"),
         (["--task", "ring", "--n", "9"], "--task ring: ring routing needs even n"),
-        (["--task", "barbell", "--count", "0"], "--count 0")],
-        ids=["barbell-odd-size", "ring-odd-size", "count-0"])
+        (["--task", "barbell", "--count", "0"], "--count 0"),
+        (["--task", "graph-property", "--p", "0"],
+         "--task graph-property: graph-property task p 0.0 must be in (0, 1]")],
+        ids=["barbell-odd-size", "ring-odd-size", "count-0", "p-zero"])
     def test_gen_rejects_what_train_rejects(self, tmp_path, capsys, argv, named):
         out = tmp_path / "data"
         assert main(["gen", "--out", str(out)] + argv) == 2
@@ -366,7 +391,7 @@ class TestCli:
 
     def test_gen_without_a_connected_graph(self, tmp_path, capsys):
         out = tmp_path / "data"
-        assert main(["gen", "--task", "graph-property", "--p", "0", "--out", str(out)]) == 2
+        assert main(["gen", "--task", "graph-property", "--p", "1e-9", "--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1, err
@@ -585,7 +610,9 @@ class TestConfigAndCheckpointInputErrors:
         ({"name": "barbell", "n": 13}, "total size 13 minus bridge 4 must be even"),
         ({"name": "ring", "n": 9}, "ring routing needs even n >= 8"),
         ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
-    ], ids=["name", "key", "odd-barbell", "odd-ring", "property"])
+        ({"name": "ring", "classes": 0}, "ring task classes 0 must be at least 1"),
+        ({"name": "graph-property", "p": 0}, "graph-property task p 0.0 must be in (0, 1]"),
+    ], ids=["name", "key", "odd-barbell", "odd-ring", "property", "no-classes", "p-zero"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_task_block_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                     command, task, named):
@@ -599,6 +626,16 @@ class TestConfigAndCheckpointInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    def test_train_without_a_connected_graph(self, tmp_path, capsys):
+        path, out = tmp_path / "run.json", tmp_path / "runs"
+        task = {"name": "graph-property", "p": 1e-9, "n_range": [4, 6], "counts": [2, 1, 1]}
+        path.write_text(json.dumps({**TINY_RUN, "task": task}))
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "summary.json").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert f"--config {path}: no connected erdos-renyi graph" in err, err
 
     @pytest.mark.parametrize("task, named", [
         ({"name": "ring", "n": 10}, "in_dim=1 where the task needs 10, "

@@ -172,15 +172,26 @@ class TestTrainRun:
         ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
         ({"name": "graph-property", "model": "watts"}, "unknown graph model 'watts'"),
         ({"name": "graph-property", "n_range": [9, 4]}, r"n_range \[9, 4\]"),
+        ({"name": "ring", "classes": 0}, "ring task classes 0 must be at least 1"),
+        ({"name": "graph-property", "p": 0}, r"p 0.0 must be in \(0, 1\]"),
+        ({"name": "graph-property", "p": 1.5}, r"p 1.5 must be in \(0, 1\]"),
         (["barbell"], "task must be a JSON object, got list"),
     ], ids=["name", "key", "odd-barbell", "no-size", "one-node-bells", "odd-ring", "null",
-            "two-counts",
-            "negative-count", "property", "graph-model", "n_range", "not-object"])
+            "two-counts", "negative-count", "property", "graph-model", "n_range",
+            "no-classes", "p-zero", "p-above-one", "not-object"])
     def test_task_block_rejected_as_it_loads(self, monkeypatch, task, message):
         for gen in ("gen_barbell", "gen_ring_routing", "gen_graph_property"):
             monkeypatch.setattr(runner, gen, lambda *a, **k: pytest.fail("data made"))
         with pytest.raises(ValueError, match=message):
             tiny_barbell_config(task=task)
+
+    def test_p_is_checked_only_where_it_is_used(self):
+        # barabasi-albert graphs grow by attachment and never read p
+        task = {"name": "graph-property", "model": "barabasi-albert", "p": 0,
+                "n_range": [6, 8], "counts": [2, 1, 1]}
+        tiny_barbell_config(task=task)
+        inst = runner.task_spec(task).make(0)
+        assert 6 <= inst.graph.n <= 8 and inst.graph.m > 0
 
     def test_config_must_be_an_object_with_a_model(self):
         with pytest.raises(ValueError, match="run-config must be a JSON object, got list"):

@@ -50,7 +50,7 @@ class TestEigSym:
                 q, _ = np.linalg.qr(rng.standard_normal((n, n)))
                 a = q @ np.diag(rng.integers(-2, 3, n).astype(float)) @ q.T
                 a = 0.5 * (a + a.T)
-            dec = eig_sym(SymOperator.from_dense(a, sym_tol=1e-8))
+            dec = eig_sym(SymOperator.from_dense(a, sym_tol=1e-8), vectors=True)
             scale = max(np.abs(a).max(), 1e-300)
             npt.assert_allclose(dec.eigenvalues, np.linalg.eigvalsh(a),
                                 atol=1e-10 * max(scale, 1))
@@ -60,10 +60,23 @@ class TestEigSym:
             assert resid <= 1e-8 * max(scale, 1)
             assert (np.diff(dec.eigenvalues) >= -1e-12 * max(scale, 1)).all()
 
+    def test_eigenvalues_only(self):
+        rng = np.random.default_rng(12)
+        g = random_graph(rng, n_min=20, n_max=40)
+        ops = [random_symmetric(rng, n) for n in (1, 7, 40)]
+        ops += [build_be(g, rng.uniform(0.05, 3.0, g.n)).operator()]
+        for op in ops:
+            dense = op.dense() if isinstance(op, SymOperator) else op
+            want = np.linalg.eigh(dense)[0]
+            dec = eig_sym(op)
+            assert dec.eigenvectors is None
+            assert not dec.eigenvalues.flags.writeable
+            assert np.abs(dec.eigenvalues - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_deterministic_and_sign_convention(self):
         rng = np.random.default_rng(11)
         a = random_symmetric(rng, 20)
-        d1, d2 = eig_sym(a), eig_sym(a.copy())
+        d1, d2 = eig_sym(a, vectors=True), eig_sym(a.copy(), vectors=True)
         npt.assert_array_equal(d1.eigenvalues, d2.eigenvalues)
         npt.assert_array_equal(d1.eigenvectors, d2.eigenvectors)
         for k in range(20):
@@ -71,10 +84,11 @@ class TestEigSym:
             lead = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0][0]
             assert col[lead] > 0
 
-    def test_zero_and_tiny(self):
-        dec = eig_sym(np.zeros((3, 3)))
+    @pytest.mark.parametrize("vectors", [False, True])
+    def test_zero_and_tiny(self, vectors):
+        dec = eig_sym(np.zeros((3, 3)), vectors=vectors)
         npt.assert_array_equal(dec.eigenvalues, np.zeros(3))
-        dec1 = eig_sym(np.array([[2.5]]))
+        dec1 = eig_sym(np.array([[2.5]]), vectors=vectors)
         npt.assert_array_equal(dec1.eigenvalues, [2.5])
 
     def test_rejects_asymmetric_and_oversize(self):
@@ -250,7 +264,7 @@ class TestVariationProfile:
 class TestRayleigh:
     def test_eigenvector_gives_eigenvalue(self):
         g = ring_graph(6)
-        dec = eig_sym(laplacian(g))
+        dec = eig_sym(laplacian(g), vectors=True)
         for k in (1, 3, 5):
             r = rayleigh(laplacian(g), dec.eigenvectors[:, k])
             assert abs(r - dec.eigenvalues[k]) < 1e-10
@@ -363,7 +377,7 @@ class TestSpectrumScalingLaws:
         for _ in range(8):
             g = random_graph(rng, n_min=6, n_max=14, connected=True)
             mu = rng.uniform(0.2, 2.0, g.n)
-            base = eig_sym(laplacian(g))
+            base = eig_sym(laplacian(g), vectors=True)
             l_mu = build_be(g, mu).matrix()
             weighted = eig_sym(SymOperator.from_dense(l_mu))
             k = int(rng.integers(1, g.n))
