@@ -9,8 +9,8 @@ the ``be-spectral`` experiment CLI.
 """
 
 from .graphs import (Graph, build_graph, grad, grad_adjoint, divergence,
-                     laplacian, dirichlet_form, ring_graph, path_graph,
-                     star_graph, complete_graph, barbell_graph)
+                     laplacian, dirichlet_form, ring_graph, star_graph,
+                     barbell_graph)
 from .operators import SymOperator, DENSE_LIMIT
 from .be import (BEOperator, build_be, validate_potential, floor_potential,
                  advection_decomposition, normalized_be, heat_flow,

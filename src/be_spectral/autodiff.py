@@ -33,6 +33,7 @@ import numpy as np
 
 from .chebyshev import cheb_basis
 from .errors import NaNLoss
+from .graphs import endpoint_sums, scatter_rows
 
 __all__ = [
     "Tape", "Tensor", "backward", "constant",
@@ -256,25 +257,13 @@ def take_nodes(a, idx) -> Tensor:
     out = np.take(a.data, idx, axis=-2)
 
     def vjp(g):
-        ga = _scatter_rows(np.swapaxes(g, -1, -2), idx, a.shape[-2])
+        ga = scatter_rows(np.swapaxes(g, -1, -2), idx, a.shape[-2])
         return (np.swapaxes(ga, -1, -2),)
 
     return _record((a,), out, vjp)
 
 
 # --- graph primitives ---
-
-def _scatter_rows(v, idx, n: int) -> np.ndarray:
-    """(..., m) -> (..., n): out[..., i] sums v[..., e] over idx[e] == i, in order of e.
-
-    One ``np.bincount`` over row-offset bins, bit-equal to ``np.add.at``.
-    """
-    lead = v.shape[:-1]
-    rows = int(np.prod(lead, dtype=np.int64))
-    bins = (idx + n * np.arange(rows)[:, None]).ravel()
-    out = np.bincount(bins, weights=v.reshape(rows, -1).ravel(), minlength=rows * n)
-    return out.reshape(lead + (n,))
-
 
 def edge_weights(mu, ei, ej) -> Tensor:
     """Per-edge endpoint averages w_e = (mu_i + mu_j) / 2 on the last axis.
@@ -288,9 +277,7 @@ def edge_weights(mu, ei, ej) -> Tensor:
     out = 0.5 * (np.take(mu.data, ei, axis=-1) + np.take(mu.data, ej, axis=-1))
 
     def vjp(g):
-        half = 0.5 * g
-        return (_scatter_rows(np.concatenate([half, half], axis=-1),
-                              np.concatenate([ei, ej]), mu.shape[-1]),)
+        return (endpoint_sums(0.5 * g, ei, ej, mu.shape[-1]),)
 
     return _record((mu,), out, vjp)
 
@@ -300,8 +287,7 @@ def node_sums(w, ei, ej, n: int) -> Tensor:
     w = _as_tensor(w)
     ei = np.asarray(ei, dtype=np.int64)
     ej = np.asarray(ej, dtype=np.int64)
-    out = _scatter_rows(np.concatenate([w.data, w.data], axis=-1),
-                        np.concatenate([ei, ej]), n)
+    out = endpoint_sums(w.data, ei, ej, n)
 
     def vjp(g):
         return (np.take(g, ei, axis=-1) + np.take(g, ej, axis=-1),)

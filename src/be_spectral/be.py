@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HeatSeriesTooLong, IsolatedNodeUnderMu, UnstableStep
-from .graphs import Graph, _check_node_signal, laplacian
+from .graphs import Graph, _check_node_signal, endpoint_sums, grad, laplacian
 from .operators import DENSE_LIMIT, SymOperator
 
 DEFAULT_MU_FLOOR = 1e-4
@@ -92,9 +92,7 @@ def build_be(g: Graph, mu) -> BEOperator:
     mu = validate_potential(g, mu)
     ei, ej = g.edges[:, 0], g.edges[:, 1]
     w = 0.5 * (mu[ei] + mu[ej])
-    deg = np.zeros(g.n)
-    np.add.at(deg, ei, w)
-    np.add.at(deg, ej, w)
+    deg = endpoint_sums(w, ei, ej, g.n)
     mu = mu.copy()
     for a in (mu, w, deg):
         a.setflags(write=False)
@@ -114,11 +112,8 @@ def advection_decomposition(be: BEOperator, f: np.ndarray):
     if f.ndim != 1:
         raise ValueError("decomposition expects a single-channel signal")
     diffusion = be.mu * laplacian(g).matvec(f)
-    ei, ej = g.edges[:, 0], g.edges[:, 1]
-    coupling = 0.5 * (be.mu[ej] - be.mu[ei]) * (f[ej] - f[ei])
-    advection = np.zeros(g.n)
-    np.add.at(advection, ei, coupling)
-    np.add.at(advection, ej, coupling)
+    advection = endpoint_sums(0.5 * grad(g, be.mu) * grad(g, f),
+                              g.edges[:, 0], g.edges[:, 1], g.n)
     reference = be.matvec(f)
     scale = max(np.abs(reference).max(), np.abs(diffusion).max(), 1e-300)
     err = np.abs(diffusion - advection - reference).max()
@@ -173,6 +168,9 @@ def heat_term_budget(n: int) -> float:
 
 #: no heat series takes more Miller orders than this, at any size
 MAX_HEAT_TERMS = heat_term_budget(DENSE_LIMIT)
+
+#: no explicit Euler integration takes more steps than this
+MAX_EULER_STEPS = 10**6
 
 
 def scaled_bessel_i(a: float) -> np.ndarray:
@@ -244,8 +242,9 @@ def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral"
     ``HeatSeriesTooLong``.
     ``euler`` takes explicit steps of size ``dt``, which must satisfy
     dt < 2 / lambda_max(L_mu); lambda_max is the Lanczos estimate padded by
-    ``LAMBDA_MAX_SLACK``, because a Ritz value never overestimates. Total
-    mass sum(f) is conserved by both. ``f0`` is (n,) or (n, c).
+    ``LAMBDA_MAX_SLACK``, because a Ritz value never overestimates; more
+    than ``MAX_EULER_STEPS`` steps raise ``HeatSeriesTooLong`` before any
+    work. Total mass sum(f) is conserved by both. ``f0`` is (n,) or (n, c).
     """
     from .chebyshev import LAMBDA_MAX_SLACK
     from .spectral import lambda_max_power
@@ -271,6 +270,9 @@ def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral"
     if scheme == "euler":
         if dt is None or dt <= 0.0:
             raise ValueError("euler scheme needs a positive dt")
+        if t / dt > MAX_EULER_STEPS:
+            raise HeatSeriesTooLong(f"t = {t:g} needs {t / dt:.3g} Euler steps of dt = "
+                                    f"{dt:g}, more than {MAX_EULER_STEPS}")
         op = be.operator()
         lam_max = LAMBDA_MAX_SLACK * lambda_max_power(op)
         if lam_max > 0.0 and dt >= 2.0 / lam_max:

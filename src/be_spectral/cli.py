@@ -131,7 +131,7 @@ def cmd_diffuse(args) -> int:
         f = heat_flow(be, f0, args.t, scheme=args.scheme, dt=args.dt)
     except UnstableStep as exc:  # checked before any step is taken
         raise _InputError(f"--dt: {exc}") from None
-    except HeatSeriesTooLong as exc:  # checked before any term is made
+    except HeatSeriesTooLong as exc:  # checked before any term or step is made
         raise _InputError(f"--t {args.t}: {exc}") from None
     write_csv_matrix(f, args.out)
     print(f"diffused to t={args.t} -> {args.out}")

@@ -19,7 +19,7 @@ class UnstableStep(ValueError):
 
 
 class HeatSeriesTooLong(ValueError):
-    """Heat flow to this time needs more series terms than run, on a graph past DENSE_LIMIT."""
+    """Heat flow to this time needs more series terms or Euler steps than are run."""
 
 
 class NaNLoss(RuntimeError):

@@ -278,8 +278,9 @@ def _keep_freed_memory() -> None:
 
     Each train step and evaluation allocates tens of MB of arrays and frees
     them when its tape is dropped. With glibc's default thresholds those
-    pages go back to the OS and fault in again on the next step: on the
-    barbell benchmark config about 11k minor faults and 44% longer epochs.
+    pages go back to the OS and fault in again on the next step. On the
+    barbell benchmark config (2-core x86-64, three alternating 20 s pairs)
+    epoch p50 read 24.4/24.2/34.9 ms with it and 26.5/25.3/37.6 ms without.
     """
     if not sys.platform.startswith("linux"):
         return

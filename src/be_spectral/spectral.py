@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroSignal
-from .graphs import Graph, laplacian, star_graph, _check_node_signal
+from .graphs import Graph, _check_node_signal, endpoint_sums, grad, laplacian, star_graph
 from .operators import DENSE_LIMIT, SymOperator
 
 log = logging.getLogger(__name__)
@@ -180,10 +180,8 @@ def variation_profile(g: Graph, f: np.ndarray) -> VariationProfile:
     denom = float(f @ f)
     if denom == 0.0:
         raise ZeroSignal("variation profile of the zero signal is undefined")
-    d = f[g.edges[:, 1]] - f[g.edges[:, 0]]
-    n_f = np.zeros(g.n)
-    np.add.at(n_f, g.edges[:, 0], d * d)
-    np.add.at(n_f, g.edges[:, 1], d * d)
+    d = grad(g, f)
+    n_f = endpoint_sums(d * d, g.edges[:, 0], g.edges[:, 1], g.n)
     n_f /= denom
     total = float(n_f.sum())
     if total == 0.0:

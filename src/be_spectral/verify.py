@@ -13,7 +13,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .be import advection_decomposition, build_be
-from .graphs import Graph, build_graph, laplacian, ring_graph, barbell_graph
+from .graphs import Graph, barbell_graph, build_graph, endpoint_sums, grad, laplacian, \
+    ring_graph
 from .models import ModelConfig, MuChebNet, context_for, mse_loss
 from .spectral import eig_sym, four_ring_showcase, rayleigh_factorization_check, \
     star_spectral_check
@@ -90,11 +91,7 @@ def suite_algebra(num_graphs: int = 100, seed: int = 7) -> dict:
         f = rng.standard_normal(g.n)
         h = rng.standard_normal(g.n)
         lhs = float(f @ (l_mu @ h))
-        ei, ej = g.edges[:, 0], g.edges[:, 1]
-        per_edge = (f[ei] - f[ej]) * (h[ei] - h[ej])
-        per_node = np.zeros(g.n)
-        np.add.at(per_node, ei, per_edge)
-        np.add.at(per_node, ej, per_edge)
+        per_node = endpoint_sums(grad(g, f) * grad(g, h), g.edges[:, 0], g.edges[:, 1], g.n)
         rhs = 0.5 * float(mu @ per_node)
         max_dirichlet = max(max_dirichlet,
                             abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
@@ -186,6 +183,9 @@ def suite_gradcheck(seed: int = 3, coords_per_case: int = 20, tol: float = 1e-4)
         cfg = ModelConfig(layers=2, K=3, hidden=4, out_dim=1, operator=operator)
         model = MuChebNet(2, cfg, seed=int(rng.integers(1 << 30)))
         lam = 2.0 if operator == "sym" else 8.0  # frozen during differencing
+        # off its zero init, the mu head lets gradients reach mu's interior
+        model.params["mu.Whead"] = 0.3 * rng.standard_normal(
+            model.params["mu.Whead"].shape)
 
         tape = ad.Tape()
         pred, _ = model.forward(tape, context_for(g), x, lambda_max=lam)
@@ -193,7 +193,10 @@ def suite_gradcheck(seed: int = 3, coords_per_case: int = 20, tol: float = 1e-4)
         grads = {t.name: v for t, v in ad.backward(tape, loss).items()}
 
         names = sorted(model.params)
-        coords = []
+        # one coordinate of every mu.* parameter, then random ones
+        coords = [(n, int(rng.integers(model.params[n].size)))
+                  for n in names if n.startswith("mu.")]
+        interior = [(n, i) for n, i in coords if not n.endswith("head")]
         for _ in range(coords_per_case):
             name = names[int(rng.integers(len(names)))]
             coords.append((name, int(rng.integers(model.params[name].size))))
@@ -202,8 +205,10 @@ def suite_gradcheck(seed: int = 3, coords_per_case: int = 20, tol: float = 1e-4)
             model.params, coords)
         worst = max(gradcheck_error(float(grads[n].reshape(-1)[i]), fd)
                     for (n, i), fd in numeric.items())
+        mu_grad = max(abs(float(grads[n].reshape(-1)[i])) for n, i in interior)
         checks.append(_check(f"end-to-end-{operator}", worst <= tol,
-                             max_rel_err=worst, coords=len(coords)))
+                             max_rel_err=worst, coords=len(coords),
+                             mu_interior_max_grad=mu_grad))
     return _finish("gradcheck", checks)
 
 

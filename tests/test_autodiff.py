@@ -8,7 +8,9 @@ import pytest
 import be_spectral.autodiff as ad
 from be_spectral.chebyshev import cheb_basis
 from be_spectral.errors import NaNLoss
-from be_spectral.graphs import ring_graph
+from be_spectral.be import advection_decomposition, build_be
+from be_spectral.graphs import build_graph, grad_adjoint, ring_graph
+from be_spectral.spectral import variation_profile
 from be_spectral.verify import gradcheck_error, numeric_gradient
 
 RNG = np.random.default_rng(123)
@@ -193,6 +195,57 @@ class TestScatterMatchesAddAt:
         ref = np.zeros((n, 3, 2))
         np.add.at(ref, ei, np.moveaxis(g, -2, 0))
         npt.assert_array_equal(out.vjp(g)[0], np.moveaxis(ref, 0, -2))
+
+    @classmethod
+    def graph(cls, seed):
+        rng, ei, ej, n = cls.edges(seed)
+        keep = ei != ej
+        g = build_graph(n, np.stack([ei[keep], ej[keep]], axis=1))
+        return rng, g, g.edges[:, 0], g.edges[:, 1]
+
+    @staticmethod
+    def add_at(n, ei, vi, ej, vj):
+        ref = np.zeros((n,) + vi.shape[1:])
+        np.add.at(ref, ei, vi)
+        np.add.at(ref, ej, vj)
+        return ref
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_grad_adjoint(self, seed, shape):
+        rng, g, ei, ej = self.graph(seed)
+        F = rng.standard_normal((g.m,) + shape)
+        npt.assert_array_equal(grad_adjoint(g, F), self.add_at(g.n, ei, -F, ej, F))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_build_be_degrees(self, seed):
+        rng, g, ei, ej = self.graph(seed)
+        mu = rng.uniform(0.05, 3.0, g.n)
+        w = 0.5 * (mu[ei] + mu[ej])
+        npt.assert_array_equal(build_be(g, mu).degrees, self.add_at(g.n, ei, w, ej, w))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_advection(self, seed):
+        rng, g, ei, ej = self.graph(seed)
+        mu = rng.uniform(0.05, 3.0, g.n)
+        f = rng.standard_normal(g.n)
+        c = 0.5 * (mu[ej] - mu[ei]) * (f[ej] - f[ei])
+        npt.assert_array_equal(advection_decomposition(build_be(g, mu), f)[1],
+                               self.add_at(g.n, ei, c, ej, c))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_variation_profile(self, seed):
+        rng, g, ei, ej = self.graph(seed)
+        f = rng.standard_normal(g.n)
+        d2 = (f[ej] - f[ei]) ** 2
+        ref = self.add_at(g.n, ei, d2, ej, d2)
+        ref /= float(f @ f)
+        npt.assert_array_equal(variation_profile(g, f).N_f, ref)
+
+    def test_edgeless_graph_sums_are_float(self):
+        be = build_be(build_graph(3, []), np.ones(3))
+        assert be.degrees.dtype == np.float64
+        npt.assert_array_equal(be.degrees, np.zeros(3))
 
     def test_without_edges(self):
         empty = np.zeros(0, dtype=np.int64)

@@ -10,9 +10,10 @@ from be_spectral import (advection_decomposition, build_be, eig_sym,
                          floor_potential, heat_flow, laplacian, normalized_be,
                          ring_graph, star_graph, SymOperator)
 from be_spectral import be as be_mod
-from be_spectral.be import HEAT_COEFF_TOL, MAX_HEAT_TERMS, heat_term_budget, scaled_bessel_i
+from be_spectral.be import (HEAT_COEFF_TOL, MAX_EULER_STEPS, MAX_HEAT_TERMS, BEOperator,
+                            heat_term_budget, scaled_bessel_i)
 from be_spectral.errors import HeatSeriesTooLong, IsolatedNodeUnderMu, UnstableStep
-from be_spectral.graphs import barbell_graph, build_graph, complete_graph
+from be_spectral.graphs import barbell_graph, build_graph
 from be_spectral.operators import DENSE_LIMIT
 from be_spectral.verify import random_graph
 
@@ -160,7 +161,7 @@ class TestNormalized:
         npt.assert_allclose(vals, [0, 1, 1, 2], atol=1e-9)
 
     def test_regular_graph_scale_cancels(self):
-        g = complete_graph(5)
+        g = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
         v1 = eig_sym(normalized_be(build_be(g, np.ones(5)))).eigenvalues
         v2 = eig_sym(normalized_be(build_be(g, np.full(5, 3.7)))).eigenvalues
         npt.assert_allclose(v1, v2, atol=1e-10)
@@ -257,6 +258,17 @@ class TestHeatFlow:
         f0[1] = 1.0  # neighbors: node 2 (heavy side), node 0 (light side)
         f = heat_flow(be, f0, 0.05)
         assert f[2] > f[0]
+
+    def test_euler_step_count_bounded(self, monkeypatch):
+        be = build_be(ring_graph(6), np.ones(6))
+        # refused before the operator is built, so before any step or Lanczos
+        monkeypatch.setattr(BEOperator, "operator", lambda self: pytest.fail("work done"))
+        with pytest.raises(HeatSeriesTooLong, match=r"1e\+14 Euler steps of dt = 0.01"):
+            heat_flow(be, np.ones(6), 1e12, scheme="euler", dt=0.01)
+        with pytest.raises(HeatSeriesTooLong, match="Euler steps"):
+            heat_flow(be, np.ones(6), 1.0, scheme="euler", dt=1e-320)  # t / dt = inf
+        # the 1e-6-accurate cross-validation above takes about 268,507 steps
+        assert MAX_EULER_STEPS > 268_507
 
     def test_unstable_step_rejected(self):
         g = ring_graph(4)

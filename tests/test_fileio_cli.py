@@ -215,7 +215,8 @@ class TestCli:
         assert f"--delta {delta}" in err and "n=6" in err
 
     @pytest.mark.parametrize("case", ["negative-t", "infinite-t", "euler-without-dt",
-                                      "unstable-dt", "dt-without-euler"])
+                                      "unstable-dt", "dt-without-euler",
+                                      "euler-too-many-steps"])
     def test_diffuse_bad_time_or_step(self, tmp_path, capsys, case):
         gpath = tmp_path / "g.edges"
         write_edge_list(ring_graph(6), gpath)  # lambda_max = 4, so dt < 0.5
@@ -225,7 +226,10 @@ class TestCli:
                       "euler-without-dt": (["--t", "1", "--scheme", "euler"], "--dt"),
                       "unstable-dt": (["--t", "1", "--scheme", "euler", "--dt", "0.6"],
                                       "--dt"),
-                      "dt-without-euler": (["--t", "1", "--dt", "5"], "--dt 5.0")}[case]
+                      "dt-without-euler": (["--t", "1", "--dt", "5"], "--dt 5.0"),
+                      "euler-too-many-steps": (
+                          ["--t", "1e12", "--scheme", "euler", "--dt", "0.01"],
+                          "--t 1000000000000.0: t = 1e+12 needs 1e+14 Euler steps")}[case]
         assert main(["diffuse", "--graph", str(gpath), "--delta", "0",
                      "--out", str(out)] + argv) == 2
         assert not out.exists()
@@ -457,6 +461,15 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report[0]["suite"] == "algebra" and report[0]["passed"]
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_verify_gradcheck_reaches_the_parameterizer(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "gradcheck", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())[0]
+        assert report["passed"]
+        checks = report["checks"]
+        assert [c["name"] for c in checks] == ["end-to-end-sym", "end-to-end-unnorm"]
+        assert all(c["mu_interior_max_grad"] > 0.0 for c in checks), checks
 
     def test_verify_factorization_suite(self, tmp_path):
         out = tmp_path / "report.json"

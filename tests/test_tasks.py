@@ -5,8 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from be_spectral import (all_pairs_bfs, barabasi_albert, bfs_distances,
-                         erdos_renyi, gen_barbell, gen_graph_property,
-                         gen_ring_routing, path_graph, star_graph)
+                         build_graph, erdos_renyi, gen_barbell, gen_graph_property,
+                         gen_ring_routing, star_graph)
 from be_spectral import tasks
 from be_spectral.errors import DisconnectedAfterRetries
 from be_spectral.tasks import is_connected
@@ -70,7 +70,7 @@ class TestBarbell:
 
 class TestShortestPathOracles:
     def test_path_graph_distances(self):
-        g = path_graph(5)
+        g = build_graph(5, [(i, i + 1) for i in range(4)])
         npt.assert_array_equal(bfs_distances(g, 0), [0, 1, 2, 3, 4])
         assert int(all_pairs_bfs(g).max()) == 4  # diameter of P5
 
@@ -142,7 +142,7 @@ class TestArrayBfsAgainstNetworkx:
 
     def test_source_outside_graph(self):
         with pytest.raises(IndexError):
-            bfs_distances(path_graph(3), 3)
+            bfs_distances(build_graph(3, [(0, 1), (1, 2)]), 3)
 
 
 class TestRandomGraphModels:
