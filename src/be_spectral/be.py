@@ -268,7 +268,7 @@ def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral"
                 f"n = {DENSE_LIMIT}")
         return _heat_eig(be, f0, t, lam)
     if scheme == "euler":
-        if dt is None or dt <= 0.0:
+        if dt is None or not dt > 0.0:  # NaN fails this too
             raise ValueError("euler scheme needs a positive dt")
         if t / dt > MAX_EULER_STEPS:
             raise HeatSeriesTooLong(f"t = {t:g} needs {t / dt:.3g} Euler steps of dt = "

@@ -7,6 +7,7 @@ config and seed so it can be reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -327,8 +328,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`, built once per process for :func:`main`.
+
+    An argparse parser keeps no state between ``parse_args`` calls. It
+    binds the ``cmd_*`` functions when it is built, so rebinding one of
+    them afterwards does not reach ``main``. The names those commands call
+    (``run_suite``, ``build_dataset``, ``train_multi``, ``heat_flow``,
+    ``eig_sym``, ``read_*``, ``write_csv_matrix``, ``build_be``,
+    ``cheb_apply_be``) are looked up as each command runs, so rebinding
+    those does.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _InputError as exc:

@@ -270,6 +270,14 @@ class TestHeatFlow:
         # the 1e-6-accurate cross-validation above takes about 268,507 steps
         assert MAX_EULER_STEPS > 268_507
 
+    @pytest.mark.parametrize("dt", [None, 0.0, -0.1, np.nan])
+    def test_euler_needs_positive_dt(self, monkeypatch, dt):
+        # a NaN step once passed ``dt <= 0`` and died in int(nan) after Lanczos
+        be = build_be(ring_graph(6), np.ones(6))
+        monkeypatch.setattr(BEOperator, "operator", lambda self: pytest.fail("work done"))
+        with pytest.raises(ValueError, match="positive dt"):
+            heat_flow(be, np.ones(6), 1.0, scheme="euler", dt=dt)
+
     def test_unstable_step_rejected(self):
         g = ring_graph(4)
         be = build_be(g, np.ones(4))

@@ -509,6 +509,58 @@ class TestCli:
         assert "'bogus'" in captured.err and "algebra" in captured.err
 
 
+class TestParserReuse:
+    """``main`` parses every call with one parser built per process."""
+
+    @staticmethod
+    def filter_argv(tmp_path, out):
+        edges = np.concatenate([np.stack([np.arange(7), (np.arange(7) + 1) % 7], 1),
+                                [[0, 3], [2, 5]]])
+        write_edge_list(build_graph(7, edges), tmp_path / "g.edges")
+        write_csv_matrix(np.linspace(0.2, 2.0, 7), tmp_path / "mu.csv")
+        write_csv_matrix(np.array([0.5, -0.3, 0.2]), tmp_path / "theta.csv")
+        write_csv_matrix(np.random.default_rng(0).standard_normal((7, 2)), tmp_path / "x.csv")
+        return ["filter", "--graph", str(tmp_path / "g.edges"), "--mu", str(tmp_path / "mu.csv"),
+                "--coeffs", str(tmp_path / "theta.csv"), "--X", str(tmp_path / "x.csv"),
+                "--out", str(out)]
+
+    def test_main_builds_one_parser(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        try:
+            argv = self.filter_argv(tmp_path, tmp_path / "y.csv")
+            for _ in range(3):
+                assert main(argv) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+
+    def test_no_state_between_calls(self, tmp_path):
+        plain = self.filter_argv(tmp_path, tmp_path / "plain.csv")
+        normalized = self.filter_argv(tmp_path, tmp_path / "normalized.csv") + ["--normalized"]
+        assert main(normalized) == 0
+        assert main(plain) == 0
+        fresh = self.filter_argv(tmp_path, tmp_path / "fresh.csv")
+        args = cli.build_parser().parse_args(fresh)
+        assert not args.normalized and args.K is None
+        assert args.func(args) == 0
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+        assert ((tmp_path / "plain.csv").read_bytes()
+                != (tmp_path / "normalized.csv").read_bytes())
+
+    def test_parse_error_then_valid_command(self, tmp_path, capsys):
+        argv = self.filter_argv(tmp_path, tmp_path / "y.csv")
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--K", "two"])
+        assert exc.value.code == 2
+        assert "--K" in capsys.readouterr().err
+        assert not (tmp_path / "y.csv").exists()
+        assert main(argv) == 0
+        assert read_csv_matrix(tmp_path / "y.csv").shape == (7, 2)
+
+
 class TestTrainEvalExportCli:
     def test_train_eval_export_cycle(self, tmp_path):
         config = {

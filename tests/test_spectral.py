@@ -119,6 +119,14 @@ def large_edge_operator():
     return SymOperator.from_edges(n, edges, -w, d), float(np.linalg.eigvalsh(m)[-1])
 
 
+def path_laplacian(n):
+    """Edge-list Laplacian of the n-node path."""
+    i = np.arange(n - 1)
+    deg = np.full(n, 2.0)
+    deg[[0, -1]] = 1.0
+    return SymOperator.from_edges(n, np.stack([i, i + 1], axis=1), -np.ones(n - 1), deg)
+
+
 def count_matvecs(monkeypatch):
     calls = []
     orig = SymOperator.matvec
@@ -179,11 +187,7 @@ class TestLambdaMaxPower:
         # the path graph's top eigenvalues are packed (relative gap ~1e-7), so
         # the run exhausts its matvec cap; the basis must stay at the restart cap
         n, iters = DENSE_LIMIT + 4, 2000
-        i = np.arange(n - 1)
-        deg = np.full(n, 2.0)
-        deg[[0, -1]] = 1.0
-        op = SymOperator.from_edges(n, np.stack([i, i + 1], axis=1),
-                                    -np.ones(n - 1), deg)
+        op = path_laplacian(n)
         tracemalloc.start()
         try:
             with caplog.at_level("WARNING", logger="be_spectral.spectral"):
@@ -216,6 +220,25 @@ class TestLambdaMaxPower:
         # at tol 1e-6 the Ritz value can converge to the second eigenvalue
         with pytest.raises(ValueError, match="above 1e-8"):
             lambda_max_power(laplacian(ring_graph(4)), tol=1e-6)
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_no_matvec_budget_rejected(self, monkeypatch, iters):
+        # iters=0 once logged a warning and returned 0.0 on a 600-node ring
+        calls = count_matvecs(monkeypatch)
+        with pytest.raises(ValueError, match="at least 1"):
+            lambda_max_power(laplacian(ring_graph(600)), iters=iters)
+        assert not calls
+
+    def test_tol_holds_after_a_restart(self, caplog):
+        # the path graph's top eigenvalues are packed, so the run restarts;
+        # the Ritz gap of the small space after a restart once stopped it at
+        # 3.1e-10 relative error after 1,502 matvecs
+        op = path_laplacian(600)
+        with caplog.at_level("WARNING", logger="be_spectral.spectral"):
+            lam = lambda_max_power(op, iters=20000, tol=1e-12)
+        assert not caplog.records  # converged; n >= 512 has no dense fallback
+        lam_true = np.linalg.eigvalsh(op.dense())[-1]
+        assert abs(lam - lam_true) <= 1e-12 * lam_true
 
     def test_stops_once_the_ritz_value_converges(self, large_edge_operator, monkeypatch):
         # stopping on the residual |beta_k s_k| alone took 48 matvecs here
@@ -353,6 +376,22 @@ class TestSpectralControlOnStars:
 
 
 class TestSpectrumScalingLaws:
+    def test_edge_weight_range_brackets_every_eigenvalue(self):
+        # L_mu = sum_e w_e L_e and L = sum_e L_e, so min_e w_e L <= L_mu <=
+        # max_e w_e L in the Loewner order, and by Courant-Fischer
+        # min_e w_e lambda_k(L) <= lambda_k(L_mu) <= max_e w_e lambda_k(L)
+        rng = np.random.default_rng(32)
+        for i in range(60):
+            g = random_graph(rng, n_min=2, n_max=60)
+            mu = rng.uniform(0.0, 3.0, g.n) if i % 2 else rng.lognormal(0.0, 2.0, g.n)
+            be = build_be(g, mu)
+            lam = eig_sym(laplacian(g)).eigenvalues
+            lam_mu = eig_sym(be.operator()).eigenvalues
+            w_min, w_max = be.edge_weights.min(), be.edge_weights.max()
+            tol = 1e-12 * w_max * lam[-1]
+            assert (w_min * lam - tol <= lam_mu).all(), i
+            assert (lam_mu <= w_max * lam + tol).all(), i
+
     def test_scale_equivariance_exact(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
