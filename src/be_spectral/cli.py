@@ -22,9 +22,9 @@ from .errors import (DisconnectedAfterRetries, HeatSeriesTooLong, IsolatedNodeUn
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, context_for
-from .runner import RunConfig, build_dataset, evaluate, task_spec, train_multi
+from .runner import RunConfig, build_dataset, evaluate, task_spec, train_multi, worker_count
 from .spectral import eig_sym
-from .verify import SUITES, run_suite
+from .verify import SUITES
 
 
 class _InputError(Exception):
@@ -47,7 +47,7 @@ def _load_graph_mu(args):
     mu = _node_values("--mu", args.mu, g.n) if args.mu else np.ones(g.n)
     try:
         return g, build_be(g, mu)
-    except ValueError as exc:  # negative, non-finite or zero-mass potential
+    except ValueError as exc:  # negative or zero-mass potential
         raise _mu_error(args, exc) from None
 
 
@@ -57,9 +57,18 @@ def _mu_error(args, exc: ValueError) -> _InputError:
     return _InputError(f"{source}: {exc}")
 
 
+def _csv(flag: str, path) -> np.ndarray:
+    """``read_csv_matrix(path)``; a NaN or infinite entry is one line naming ``flag``."""
+    values = _read(flag, path, read_csv_matrix)
+    if not np.isfinite(values).all():
+        row = int(np.argwhere(~np.isfinite(values))[0][0]) + 1
+        raise _InputError(f"{flag} {path}: data row {row} holds a non-finite value")
+    return values
+
+
 def _node_values(flag: str, path, n: int) -> np.ndarray:
     """One value per node from a CSV file; its size must match the graph."""
-    values = _read(flag, path, read_csv_matrix).reshape(-1)
+    values = _csv(flag, path).reshape(-1)
     if values.size != n:
         raise _InputError(f"{flag} {path} has {values.size} values, the graph has n={n}")
     return values
@@ -67,7 +76,7 @@ def _node_values(flag: str, path, n: int) -> np.ndarray:
 
 def _node_rows(path, n: int) -> np.ndarray:
     """The ``--X`` feature matrix; it needs one row per node."""
-    x = _read("--X", path, read_csv_matrix)
+    x = _csv("--X", path)
     if x.shape[0] != n:
         raise _InputError(f"--X {path} has {x.shape[0]} rows, the graph has n={n}")
     return x
@@ -141,7 +150,7 @@ def cmd_diffuse(args) -> int:
 
 def cmd_filter(args) -> int:
     g, be = _load_graph_mu(args)
-    coeffs = _read("--coeffs", args.coeffs, read_csv_matrix).reshape(-1)
+    coeffs = _csv("--coeffs", args.coeffs).reshape(-1)
     if not coeffs.size:
         raise _InputError(f"--coeffs {args.coeffs} holds no coefficients")
     if args.K is not None and args.K + 1 != coeffs.size:
@@ -169,7 +178,7 @@ def cmd_verify(args) -> int:
     ns = [int(v) for v in sizes]
     reports = []
     for name in names:
-        report = run_suite(name, **({"ns": ns} if ns and name == "star-bounds" else {}))
+        report = SUITES[name](**({"ns": ns} if ns and name == "star-bounds" else {}))
         reports.append(report)
         status = "PASS" if report["passed"] else "FAIL"
         print(f"[{status}] suite {report['suite']}")
@@ -188,6 +197,11 @@ def cmd_train(args) -> int:
         cfg.out = args.out
     if args.seed is not None:
         cfg.seeds = [args.seed]
+    try:
+        if args.parallel_seeds:
+            worker_count()
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
     try:
         summary = train_multi(cfg, parallel=args.parallel_seeds)
     except DisconnectedAfterRetries as exc:  # the parse cannot see this one
@@ -236,6 +250,14 @@ def cmd_export_mu(args) -> int:
                           f"needs in_dim={model.in_dim}")
     meta = (_read("--meta", args.meta, lambda p: json.loads(Path(p).read_text()))
             if args.meta else {})
+    if not isinstance(meta, dict):
+        raise _InputError(f"--meta {args.meta}: not a JSON object")
+    roles = {key: np.asarray(meta[key]) for key in
+             ("clean_path", "noisy_path", "bridge", "bell_a", "bell_b") if key in meta}
+    for key, nodes in roles.items():
+        if not (nodes.dtype.kind in "iu" and nodes.size and 0 <= nodes.min() <= nodes.max() < g.n):
+            raise _InputError(f"--meta {args.meta}: {key} {meta[key]} must list "
+                              f"nodes of the graph (0 to {g.n - 1})")
     tape = ad.Tape()
     _, mu = model.forward(tape, context_for(g), x)
     mu = mu.data.reshape(-1)
@@ -243,9 +265,8 @@ def cmd_export_mu(args) -> int:
     manifest = {"n": g.n, "node_order": "0-based ascending",
                 "mu_min": float(mu.min()), "mu_max": float(mu.max()),
                 "mu_mean": float(mu.mean())}
-    for key in ("clean_path", "noisy_path", "bridge", "bell_a", "bell_b"):
-        if key in meta:
-            manifest[f"mu_mean_{key}"] = float(mu[meta[key]].mean())
+    for key, nodes in roles.items():
+        manifest[f"mu_mean_{key}"] = float(mu[nodes].mean())
     Path(str(args.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2))
     print(f"potential -> {args.out}")
     return 0
@@ -335,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
     An argparse parser keeps no state between ``parse_args`` calls. It
     binds the ``cmd_*`` functions when it is built, so rebinding one of
     them afterwards does not reach ``main``. The names those commands call
-    (``run_suite``, ``build_dataset``, ``train_multi``, ``heat_flow``,
+    (``SUITES``, ``build_dataset``, ``train_multi``, ``heat_flow``,
     ``eig_sym``, ``read_*``, ``write_csv_matrix``, ``build_be``,
     ``cheb_apply_be``) are looked up as each command runs, so rebinding
     those does.

@@ -375,12 +375,11 @@ def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
     return record
 
 
-def _dump_mu(model: MuChebNet, data: TaskData, outdir: Path,
-             max_instances: int = 4) -> None:
+def _dump_mu(model: MuChebNet, data: TaskData, outdir: Path) -> None:
     if model.parameterizer is None or not data.test:
         return
     rows = []
-    for inst in data.test[:max_instances]:
+    for inst in data.test[:4]:
         tape = ad.Tape()
         _, mu = model.forward(tape, context_for(inst.graph), inst.X)
         rows.append(mu.data.reshape(-1))
@@ -396,6 +395,14 @@ def _train_seed_worker(config_dict: dict, seed: int, outdir: str | None) -> dict
     return train_run(cfg, seed, Path(outdir) if outdir else None)
 
 
+def worker_count() -> int:
+    """``BE_SPECTRAL_THREADS`` if set (a positive integer), else the CPU count."""
+    raw = os.environ.get("BE_SPECTRAL_THREADS", str(os.cpu_count() or 1))
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise ValueError(f"BE_SPECTRAL_THREADS={raw!r} must be a positive integer")
+    return int(raw)
+
+
 def train_multi(config: RunConfig, parallel: bool = False) -> dict:
     """Train every seed in the config; aggregates mean/std per metric."""
     outbase = Path(config.out) if config.out else None
@@ -403,8 +410,7 @@ def train_multi(config: RunConfig, parallel: bool = False) -> dict:
              str(outbase / f"seed{s}") if outbase else None)
             for s in config.seeds]
     if parallel and len(jobs) > 1:
-        workers = int(os.environ.get("BE_SPECTRAL_THREADS", os.cpu_count() or 1))
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(worker_count(), len(jobs))) as pool:
             records = list(pool.map(_train_seed_worker, *zip(*jobs)))
     else:
         records = [_train_seed_worker(*j) for j in jobs]

@@ -6,6 +6,10 @@ the Rayleigh-quotient factorization, ``star-bounds`` the star-graph
 spectral-control inequalities, ``gradcheck`` end-to-end derivatives
 against central finite differences, and ``stability`` the antisymmetric
 stable update versus an unstabilized deep network.
+
+Acceptance criteria 1-4, 6 and 7 assert on these reports, so each suite
+fixes the criterion's seed, samples and cases; only the star sizes
+(``ns``, set by ``verify --n``) can be chosen.
 """
 from __future__ import annotations
 
@@ -13,8 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .be import advection_decomposition, build_be
-from .graphs import Graph, barbell_graph, build_graph, endpoint_sums, grad, laplacian, \
-    ring_graph
+from .graphs import Graph, barbell_graph, endpoint_sums, grad, laplacian, ring_graph
 from .models import ModelConfig, MuChebNet, context_for, mse_loss
 from .spectral import eig_sym, four_ring_showcase, rayleigh_factorization_check, \
     star_spectral_check
@@ -26,11 +29,8 @@ def random_graph(rng, n_min: int = 4, n_max: int = 30, connected: bool = False) 
     while True:
         n = int(rng.integers(n_min, n_max + 1))
         g = erdos_renyi(n, p=min(1.0, 2.5 / np.sqrt(n)), rng=rng)
-        if g.m == 0:
-            continue
-        if connected and not is_connected(g):
-            continue
-        return g
+        if g.m and (not connected or is_connected(g)):
+            return g
 
 
 def numeric_gradient(loss_fn, params: dict, coords, h: float = 1e-5) -> dict:
@@ -57,10 +57,9 @@ def gradcheck_error(analytic: float, numeric: float) -> float:
 
 
 def _check(name: str, passed: bool, **detail) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update({k: (float(v) if isinstance(v, (np.floating, float, int)) else v)
-                  for k, v in detail.items()})
-    return entry
+    return {"name": name, "passed": bool(passed),
+            **{k: float(v) if isinstance(v, (np.floating, float, int)) else v
+               for k, v in detail.items()}}
 
 
 def _finish(suite: str, checks: list, soft: set = frozenset()) -> dict:
@@ -71,41 +70,34 @@ def _finish(suite: str, checks: list, soft: set = frozenset()) -> dict:
 
 # --- suites ---
 
-def suite_algebra(num_graphs: int = 100, seed: int = 7) -> dict:
-    rng = np.random.default_rng(seed)
-    max_dirichlet = 0.0
-    max_psd_violation = 0.0
-    max_rowsum = 0.0
-    max_reconstruct = 0.0
+def suite_algebra() -> dict:
+    rng = np.random.default_rng(71)
+    max_dirichlet = max_psd_violation = max_rowsum = max_reconstruct = 0.0
     reduction_exact = True
-    for _ in range(num_graphs):
+    for _ in range(100):
         g = random_graph(rng)
         mu = rng.uniform(0.05, 3.0, g.n)
         be = build_be(g, mu)
         l_mu = be.matrix()
+        reduction_exact &= np.array_equal(build_be(g, np.ones(g.n)).matrix(),
+                                          laplacian(g).dense())
 
-        ones_be = build_be(g, np.ones(g.n))
-        if not np.array_equal(ones_be.matrix(), laplacian(g).dense()):
-            reduction_exact = False
-
-        f = rng.standard_normal(g.n)
-        h = rng.standard_normal(g.n)
-        lhs = float(f @ (l_mu @ h))
+        f, h = rng.standard_normal((2, g.n))
+        lhs = float(f @ l_mu @ h)
         per_node = endpoint_sums(grad(g, f) * grad(g, h), g.edges[:, 0], g.edges[:, 1], g.n)
         rhs = 0.5 * float(mu @ per_node)
         max_dirichlet = max(max_dirichlet,
                             abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
 
-        scale = np.abs(l_mu).max()
+        scale = max(np.abs(l_mu).max(), 1e-300)
         lam_min = float(eig_sym(be.operator()).eigenvalues[0])
-        max_psd_violation = max(max_psd_violation, -lam_min / max(scale, 1e-300))
-        max_rowsum = max(max_rowsum, np.abs(l_mu.sum(axis=1)).max() / max(scale, 1e-300))
+        max_psd_violation = max(max_psd_violation, -lam_min / scale)
+        max_rowsum = max(max_rowsum, np.abs(l_mu.sum(axis=1)).max() / scale)
 
         diffusion, advection = advection_decomposition(be, f)  # self-checks at 1e-12
         ref = l_mu @ f
-        max_reconstruct = max(
-            max_reconstruct,
-            np.abs(diffusion - advection - ref).max() / max(np.abs(ref).max(), 1e-300))
+        max_reconstruct = max(max_reconstruct, np.abs(diffusion - advection - ref).max()
+                              / max(np.abs(ref).max(), 1e-300))
 
     ring = four_ring_showcase()
     spec_err = max(np.abs(np.array(ring["spectrum"]) - ring["expected"]).max(),
@@ -113,7 +105,7 @@ def suite_algebra(num_graphs: int = 100, seed: int = 7) -> dict:
     nonzero = np.array(ring["spectrum_mu"])[1:]
     simple = float(np.diff(nonzero).min())
 
-    checks = [
+    return _finish("algebra", [
         _check("mu-one-reduction-exact", reduction_exact),
         _check("dirichlet-identity", max_dirichlet <= 1e-10, max_rel_err=max_dirichlet),
         _check("psd", max_psd_violation <= 1e-10, worst=max_psd_violation),
@@ -122,22 +114,20 @@ def suite_algebra(num_graphs: int = 100, seed: int = 7) -> dict:
                worst=max_reconstruct),
         _check("four-ring-spectra", spec_err <= 1e-9, max_abs_err=spec_err),
         _check("four-ring-simple-eigenvalues", simple > 1e-6, min_gap=simple),
-    ]
-    return _finish("algebra", checks)
+    ])
 
 
-def suite_factorization(samples: int = 200, seed: int = 11) -> dict:
-    rng = np.random.default_rng(seed)
+def suite_factorization() -> dict:
+    rng = np.random.default_rng(73)
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(200):
         g = random_graph(rng)
         mu = rng.uniform(0.05, 4.0, g.n)
         f = rng.standard_normal(g.n)
         lhs, rhs = rayleigh_factorization_check(g, mu, f)
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
-    checks = [_check("rayleigh-factorization", worst <= 1e-10,
-                     samples=samples, max_rel_err=worst)]
-    return _finish("factorization", checks)
+    return _finish("factorization", [_check("rayleigh-factorization", worst <= 1e-10,
+                                            samples=200, max_rel_err=worst)])
 
 
 def suite_star_bounds(ns=(5, 6, 10, 50)) -> dict:
@@ -166,54 +156,52 @@ def suite_star_bounds(ns=(5, 6, 10, 50)) -> dict:
     return _finish("star-bounds", checks, soft=soft)
 
 
-def _model_loss(model: MuChebNet, graph, x, y, mask, lambda_max=None) -> float:
-    tape = ad.Tape()
-    pred, _ = model.forward(tape, context_for(graph), x, lambda_max=lambda_max)
-    return float(mse_loss(pred, y, mask).data)
-
-
-def suite_gradcheck(seed: int = 3, coords_per_case: int = 20, tol: float = 1e-4) -> dict:
-    rng = np.random.default_rng(seed)
+def suite_gradcheck() -> dict:
+    rng = np.random.default_rng(76)
     checks = []
-    for operator in ("sym", "unnorm"):
-        g = ring_graph(8)
-        x = rng.standard_normal((8, 2))
-        y = rng.standard_normal((8, 1))
-        mask = np.ones(8, dtype=bool)
-        cfg = ModelConfig(layers=2, K=3, hidden=4, out_dim=1, operator=operator)
+    # (graph, operator, lambda_max frozen during differencing; sym needs none)
+    cases = [(ring_graph(8), "sym", None),
+             (random_graph(np.random.default_rng(7), n_min=12, n_max=16, connected=True),
+              "unnorm", 30.0)]
+    for g, operator, lam in cases:
+        x = rng.standard_normal((g.n, 2))
+        y = rng.standard_normal((g.n, 1))
+        mask = np.ones(g.n, dtype=bool)
+        cfg = ModelConfig(layers=2, K=4, hidden=4, out_dim=1, operator=operator)
         model = MuChebNet(2, cfg, seed=int(rng.integers(1 << 30)))
-        lam = 2.0 if operator == "sym" else 8.0  # frozen during differencing
         # off its zero init, the mu head lets gradients reach mu's interior
         model.params["mu.Whead"] = 0.3 * rng.standard_normal(
             model.params["mu.Whead"].shape)
 
+        def loss_on(tape):
+            pred, _ = model.forward(tape, context_for(g), x, lambda_max=lam)
+            return mse_loss(pred, y, mask)
+
         tape = ad.Tape()
-        pred, _ = model.forward(tape, context_for(g), x, lambda_max=lam)
-        loss = mse_loss(pred, y, mask)
-        grads = {t.name: v for t, v in ad.backward(tape, loss).items()}
+        grads = {t.name: v for t, v in ad.backward(tape, loss_on(tape)).items()}
 
         names = sorted(model.params)
-        # one coordinate of every mu.* parameter, then random ones
-        coords = [(n, int(rng.integers(model.params[n].size)))
-                  for n in names if n.startswith("mu.")]
-        interior = [(n, i) for n, i in coords if not n.endswith("head")]
-        for _ in range(coords_per_case):
+        coords = []
+        for _ in range(20):
             name = names[int(rng.integers(len(names)))]
             coords.append((name, int(rng.integers(model.params[name].size))))
-        numeric = numeric_gradient(
-            lambda p: _model_loss(model, g, x, y, mask, lambda_max=lam),
-            model.params, coords)
+        # then one coordinate of every mu.* parameter
+        mu_coords = [(n, int(rng.integers(model.params[n].size)))
+                     for n in names if n.startswith("mu.")]
+        numeric = numeric_gradient(lambda p: float(loss_on(ad.Tape()).data),
+                                   model.params, coords + mu_coords)
         worst = max(gradcheck_error(float(grads[n].reshape(-1)[i]), fd)
                     for (n, i), fd in numeric.items())
-        mu_grad = max(abs(float(grads[n].reshape(-1)[i])) for n, i in interior)
-        checks.append(_check(f"end-to-end-{operator}", worst <= tol,
-                             max_rel_err=worst, coords=len(coords),
+        mu_grad = max(abs(float(grads[n].reshape(-1)[i]))
+                      for n, i in mu_coords if not n.endswith("head"))
+        checks.append(_check(f"end-to-end-{operator}", worst <= 1e-4,
+                             max_rel_err=worst, coords=len(numeric),
                              mu_interior_max_grad=mu_grad))
     return _finish("gradcheck", checks)
 
 
-def suite_stability(seed: int = 5) -> dict:
-    rng = np.random.default_rng(seed)
+def suite_stability() -> dict:
+    rng = np.random.default_rng(5)
     g = barbell_graph(23, 4)
     x = rng.standard_normal((g.n, 4))
 
@@ -222,51 +210,40 @@ def suite_stability(seed: int = 5) -> dict:
                              mu=None)
     stable = MuChebNet(4, stable_cfg, seed=1)
     trace_stable: list[float] = []
-    tape = ad.Tape()
-    stable.forward(tape, context_for(g), x, norm_trace=trace_stable)
+    stable.forward(ad.Tape(), context_for(g), x, norm_trace=trace_stable)
     finite = all(np.isfinite(trace_stable))
-    # spectral norm of each layer's worst-case gain
-    gains = []
-    for l in range(stable_cfg.layers):
-        total = 0.0
-        for k in range(stable_cfg.K + 1):
-            w = stable.params[f"layer{l}.W{k}"]
-            eff = w - w.T - stable_cfg.gamma * np.eye(stable_cfg.hidden)
-            total += np.linalg.norm(eff, 2)
-        gains.append(1.0 + stable_cfg.eps * total)
+    weights = [[stable.params[f"layer{l}.W{k}"] for k in range(stable_cfg.K + 1)]
+               for l in range(stable_cfg.layers)]
+    # each layer's worst-case gain: 1 + eps * sum_k ||W_k - W_k^T - gamma I||_2
+    damp = stable_cfg.gamma * np.eye(stable_cfg.hidden)
+    gains = np.array([1.0 + stable_cfg.eps * sum(np.linalg.norm(w - w.T - damp, 2)
+                                                 for w in layer) for layer in weights])
     ratios = np.array(trace_stable[1:]) / np.maximum(np.array(trace_stable[:-1]), 1e-300)
-    bound_ok = bool((ratios <= np.array(gains) * (1.0 + 1e-9)).all())
+    bound_ok = bool((ratios <= gains * (1.0 + 1e-9)).all())
 
     # eigenvalues of the antisymmetric parts are purely imaginary
-    worst_real = 0.0
-    for k in range(stable_cfg.K + 1):
-        w = stable.params[f"layer0.W{k}"]
-        ev = np.linalg.eigvals(w - w.T)
-        worst_real = max(worst_real, float(np.abs(ev.real).max()))
+    worst_real = max(float(np.abs(np.linalg.eigvals(w - w.T).real).max())
+                     for w in weights[0])
 
     deep_cfg = ModelConfig(layers=64, K=20, hidden=16, out_dim=1,
                            operator="sym", stable=False, mu=None)
     deep = MuChebNet(4, deep_cfg, seed=1)
     trace_deep: list[float] = []
-    tape = ad.Tape()
     try:
-        deep.forward(tape, context_for(g), x, norm_trace=trace_deep)
+        deep.forward(ad.Tape(), context_for(g), x, norm_trace=trace_deep)
     except FloatingPointError:
         pass
     base = max(trace_deep[0], 1e-300)
     growth = max((t / base) for t in trace_deep if np.isfinite(t))
     exploded = (not all(np.isfinite(trace_deep))) or growth >= 10.0
 
-    checks = [
+    return _finish("stability", [
         _check("antisymmetric-purely-imaginary", worst_real <= 1e-10,
                max_real_part=worst_real),
-        _check("stable-norms-finite", finite,
-               final_norm=trace_stable[-1] if trace_stable else float("nan")),
-        _check("stable-per-layer-bound", bound_ok,
-               max_ratio=float(ratios.max()) if ratios.size else 1.0),
+        _check("stable-norms-finite", finite, final_norm=trace_stable[-1]),
+        _check("stable-per-layer-bound", bound_ok, max_ratio=float(ratios.max())),
         _check("unstabilized-deep-growth", exploded, growth=float(growth)),
-    ]
-    return _finish("stability", checks)
+    ])
 
 
 SUITES = {
@@ -276,8 +253,3 @@ SUITES = {
     "gradcheck": suite_gradcheck,
     "stability": suite_stability,
 }
-
-def run_suite(name: str, **kwargs) -> dict:
-    if name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; have {sorted(SUITES)}")
-    return SUITES[name](**kwargs)

@@ -1,7 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Training-based criteria share module-scoped fixtures so the determinism
-criterion can re-run a seed and compare bit for bit. Run with
+Criteria 1-4, 6 and 7 run the ``be-spectral verify`` suites, which fix
+the seeds and cases, and assert on their reports. Training-based
+criteria share module-scoped fixtures so the determinism criterion can
+re-run a seed and compare bit for bit. Run with
 ``pytest tests/test_acceptance.py -v -s`` to watch the lines stream.
 """
 import time
@@ -9,16 +11,11 @@ import time
 import numpy as np
 import pytest
 
-import be_spectral.autodiff as ad
-from be_spectral import (ChebFilter, SymOperator, build_be, cheb_apply,
-                         cheb_spectral_oracle, eig_sym, laplacian, ring_graph,
-                         star_spectral_check)
-from be_spectral.be import advection_decomposition
-from be_spectral.models import ModelConfig, MuChebNet, context_for, mse_loss
+from be_spectral import (ChebFilter, build_be, cheb_apply, cheb_spectral_oracle,
+                         eig_sym, laplacian)
 from be_spectral.runner import RunConfig, train_multi, train_run
-from be_spectral.spectral import four_ring_showcase, rayleigh_factorization_check
-from be_spectral.verify import (gradcheck_error, numeric_gradient, random_graph,
-                                suite_stability)
+from be_spectral.verify import (random_graph, suite_algebra, suite_factorization,
+                                suite_gradcheck, suite_stability, suite_star_bounds)
 
 BARBELL_MU_CONFIG = {
     "task": {"name": "barbell", "n": 50, "k_path": 4, "counts": [96, 24, 32],
@@ -56,6 +53,11 @@ def _report(num, name, passed, detail):
     assert passed, f"criterion {num} {name}: {detail}"
 
 
+def _checks(report):
+    """A ``verify`` suite report's checks by name."""
+    return {c["name"]: c for c in report["checks"]}
+
+
 @pytest.fixture(scope="module")
 def barbell_results():
     t0 = time.time()
@@ -87,103 +89,53 @@ def sssp_results():
 
 def test_criterion_01_exact_algebra():
     t0 = time.time()
-    rng = np.random.default_rng(71)
-    worst_dirichlet = worst_psd = worst_rowsum = worst_reconstruct = 0.0
-    exact_reduction = True
-    for _ in range(100):
-        g = random_graph(rng, n_max=30)
-        mu = rng.uniform(0.05, 3.0, g.n)
-        be = build_be(g, mu)
-        l_mu = be.matrix()
-        scale = max(np.abs(l_mu).max(), 1e-300)
-
-        if not np.array_equal(build_be(g, np.ones(g.n)).matrix(),
-                              laplacian(g).dense()):
-            exact_reduction = False
-
-        f, h = rng.standard_normal((2, g.n))
-        ei, ej = g.edges[:, 0], g.edges[:, 1]
-        contrib = (f[ei] - f[ej]) * (h[ei] - h[ej])
-        per_node = np.zeros(g.n)
-        np.add.at(per_node, ei, contrib)
-        np.add.at(per_node, ej, contrib)
-        lhs, rhs = float(f @ l_mu @ h), 0.5 * float(mu @ per_node)
-        worst_dirichlet = max(worst_dirichlet,
-                              abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-12))
-
-        worst_psd = max(worst_psd,
-                        -float(eig_sym(be.operator()).eigenvalues[0]) / scale)
-        worst_rowsum = max(worst_rowsum, np.abs(l_mu.sum(axis=1)).max() / scale)
-
-        diffusion, advection = advection_decomposition(be, f)
-        ref = l_mu @ f
-        worst_reconstruct = max(
-            worst_reconstruct,
-            np.abs(diffusion - advection - ref).max() / max(np.abs(ref).max(), 1e-300))
+    report = suite_algebra()
+    checks = _checks(report)
     elapsed = time.time() - t0
-    ok = (exact_reduction and worst_dirichlet <= 1e-10 and worst_psd <= 1e-10
-          and worst_rowsum <= 1e-12 and worst_reconstruct <= 1e-12
-          and elapsed < 10.0)
+    ok = report["passed"] and elapsed < 10.0
     _report(1, "exact algebra over 100 random graphs", ok,
-            f"dirichlet {worst_dirichlet:.1e}, psd {worst_psd:.1e}, "
-            f"rowsum {worst_rowsum:.1e}, reconstruct {worst_reconstruct:.1e}, "
+            f"dirichlet {checks['dirichlet-identity']['max_rel_err']:.1e}, "
+            f"psd {checks['psd']['worst']:.1e}, "
+            f"rowsum {checks['row-sums-zero']['worst']:.1e}, "
+            f"reconstruct {checks['advection-reconstruction']['worst']:.1e}, "
             f"{elapsed:.1f}s")
 
 
 def test_criterion_02_four_ring_showcase():
     t0 = time.time()
-    rep = four_ring_showcase()
-    err = max(np.abs(np.array(rep["spectrum"]) - rep["expected"]).max(),
-              np.abs(np.array(rep["spectrum_mu"]) - rep["expected_mu"]).max())
-    min_gap = float(np.diff(np.array(rep["spectrum_mu"])[1:]).min())
+    report = suite_algebra()
+    checks = _checks(report)
     elapsed = time.time() - t0
-    ok = err <= 1e-9 and min_gap > 1e-9 and elapsed < 1.0
+    ok = report["passed"] and elapsed < 1.0
     _report(2, "4-ring spectra and symmetry breaking", ok,
-            f"max abs err {err:.1e}, min nonzero gap {min_gap:.3f}, {elapsed:.2f}s")
+            f"max abs err {checks['four-ring-spectra']['max_abs_err']:.1e}, "
+            f"min nonzero gap {checks['four-ring-simple-eigenvalues']['min_gap']:.3f}, "
+            f"{elapsed:.2f}s")
 
 
 def test_criterion_03_factorization_identity():
     t0 = time.time()
-    rng = np.random.default_rng(73)
-    worst = 0.0
-    for _ in range(200):
-        g = random_graph(rng, n_max=30)
-        mu = rng.uniform(0.05, 4.0, g.n)
-        f = rng.standard_normal(g.n)
-        lhs, rhs = rayleigh_factorization_check(g, mu, f)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-12))
+    report = suite_factorization()
+    check = report["checks"][0]
     elapsed = time.time() - t0
-    ok = worst <= 1e-10 and elapsed < 5.0
+    ok = report["passed"] and check["samples"] == 200 and elapsed < 5.0
     _report(3, "Rayleigh factorization identity, 200 samples", ok,
-            f"max rel err {worst:.1e}, {elapsed:.1f}s")
+            f"max rel err {check['max_rel_err']:.1e}, {elapsed:.1f}s")
 
 
 def test_criterion_04_star_bounds():
     t0 = time.time()
-    problems = []
-    for n in (5, 6, 10, 50):
-        gap = star_spectral_check(n, "gap")
-        if not (gap["gap_ok"] and gap["gap_slack"] >= -1e-12):
-            problems.append(f"gap bound violated at n={n}")
-        both = star_spectral_check(n, "gap-radius")
-        if not both["gap_ok"]:
-            problems.append(f"half-gap bound violated at n={n}")
-        if not both["radius_recomputed_ok"]:
-            problems.append(f"recomputed radius lower bound violated at n={n}")
-    eq6 = star_spectral_check(6, "gap")
-    eq_err = abs(eq6["lambda_1_mu"] - 0.125)
-    if eq_err > 1e-9:
-        problems.append(f"n=6 equality off by {eq_err:.2e}")
-    nominal6 = star_spectral_check(6, "gap-radius")
+    report = suite_star_bounds()
+    checks = _checks(report)
+    nominal6 = checks["radius-nominal-lower-n6"]
     elapsed = time.time() - t0
-    ok = not problems and elapsed < 10.0
+    ok = report["passed"] and elapsed < 10.0
     _report(4, "star-graph spectral control", ok,
-            f"n=6 gap equality err {eq_err:.1e}; nominal radius claim at n=6: "
-            f"measured {nominal6['lambda_top_mu']:.3f} vs claimed "
-            f">= {nominal6['radius_lower_nominal']:.3f} "
-            f"(reported only), recomputed bound "
-            f"{nominal6['radius_lower_recomputed']:.3f} holds; {elapsed:.1f}s"
-            + ("; " + "; ".join(problems) if problems else ""))
+            f"n=6 gap equality err {checks['gap-equality-n6']['error']:.1e}; "
+            f"nominal radius claim at n=6: measured {nominal6['measured']:.3f} vs "
+            f"claimed >= {nominal6['bound']:.3f} (reported only), recomputed bound "
+            f"{checks['radius-recomputed-lower-n6']['bound']:.3f} holds; {elapsed:.1f}s"
+            + "".join(f"; {name} failed" for name in report["hard_failures"]))
 
 
 def test_criterion_05_chebyshev_oracle_equivalence():
@@ -211,46 +163,11 @@ def test_criterion_05_chebyshev_oracle_equivalence():
 
 def test_criterion_06_end_to_end_gradcheck():
     t0 = time.time()
-    rng = np.random.default_rng(76)
-    worst = 0.0
-    checked = 0
-    cases = [
-        (ring_graph(8), "sym", None),
-        (random_graph(np.random.default_rng(7), n_min=12, n_max=16,
-                      connected=True), "unnorm", 30.0),
-    ]
-    for g, operator, lam in cases:
-        x = rng.standard_normal((g.n, 2))
-        y = rng.standard_normal((g.n, 1))
-        mask = np.ones(g.n, bool)
-        cfg = ModelConfig(layers=2, K=4, hidden=4, out_dim=1, operator=operator)
-        model = MuChebNet(2, cfg, seed=int(rng.integers(1 << 30)))
-        # move the potential head off its zero init so gradients exercise
-        # the full operator-assembly path into the parameterizer
-        model.params["mu.Whead"] = 0.3 * rng.standard_normal(
-            model.params["mu.Whead"].shape)
-
-        tape = ad.Tape()
-        pred, _ = model.forward(tape, context_for(g), x, lambda_max=lam)
-        loss = mse_loss(pred, y, mask)
-        grads = {t.name: v for t, v in ad.backward(tape, loss).items()}
-
-        def lossfn(p, g=g, x=x, y=y, mask=mask, model=model, lam=lam):
-            t = ad.Tape()
-            pr, _ = model.forward(t, context_for(g), x, lambda_max=lam)
-            return float(mse_loss(pr, y, mask).data)
-
-        names = sorted(model.params)
-        coords = []
-        for _ in range(20):
-            nm = names[int(rng.integers(len(names)))]
-            coords.append((nm, int(rng.integers(model.params[nm].size))))
-        fd = numeric_gradient(lossfn, model.params, coords)
-        for (nm, i), v in fd.items():
-            worst = max(worst, gradcheck_error(float(grads[nm].reshape(-1)[i]), v))
-            checked += 1
+    report = suite_gradcheck()
+    worst = max(c["max_rel_err"] for c in report["checks"])
+    checked = sum(int(c["coords"]) for c in report["checks"])
     elapsed = time.time() - t0
-    ok = worst <= 1e-4 and elapsed < 60.0
+    ok = report["passed"] and elapsed < 60.0
     _report(6, "end-to-end gradcheck vs central differences", ok,
             f"max rel err {worst:.1e} over {checked} coordinates, {elapsed:.1f}s")
 
@@ -258,7 +175,7 @@ def test_criterion_06_end_to_end_gradcheck():
 def test_criterion_07_stable_variant():
     t0 = time.time()
     report = suite_stability()
-    checks = {c["name"]: c for c in report["checks"]}
+    checks = _checks(report)
     elapsed = time.time() - t0
     ok = report["passed"] and elapsed < 120.0
     _report(7, "stable update: imaginary spectra, bounded depth", ok,

@@ -1,4 +1,5 @@
 """File formats and the command-line surface."""
+import inspect
 import json
 import warnings
 
@@ -14,6 +15,7 @@ from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 save_checkpoint, write_csv_matrix,
                                 write_edge_list)
 from be_spectral.runner import build_dataset
+from be_spectral.verify import SUITES
 
 TINY_RUN = {"task": {"name": "barbell", "n": 12, "k_path": 4,
                      "counts": [6, 3, 4], "data_seed": 3},
@@ -291,11 +293,16 @@ class TestCli:
         assert err.count("\n") == 1
         assert f"{flag} {five} has 5" in err and "n=6" in err
 
-    @pytest.mark.parametrize("flag", ["--coeffs", "--mu", "--f0", "--X"])
-    def test_malformed_csv_file(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, value", [
+        pytest.param(flag, value, id=flag if value is None else f"{flag}-{value}")
+        for value in (None, "nan", "inf", "-inf") for flag in ("--coeffs", "--mu", "--f0", "--X")])
+    def test_malformed_csv_file(self, tmp_path, capsys, flag, value):
         gpath, bad = tmp_path / "g.edges", tmp_path / "bad.csv"
         write_edge_list(ring_graph(6), gpath)
-        write_edge_list(ring_graph(6), bad)  # "i j" rows are not a CSV of numbers
+        if value is None:
+            write_edge_list(ring_graph(6), bad)  # "i j" rows are not a CSV of numbers
+        else:  # one value per node, the third not finite
+            write_csv_matrix(np.array([1.0, 1.0, float(value), 1.0, 1.0, 1.0]), bad)
         six, theta = tmp_path / "six.csv", tmp_path / "theta.csv"
         write_csv_matrix(np.ones(6), six)
         write_csv_matrix(np.ones(2), theta)
@@ -308,6 +315,7 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag} {bad}:" in err, err
+        assert value is None or "data row 3 holds a non-finite value" in err, err
 
     @pytest.mark.parametrize("flag", ["--graph", "--mu", "--f0", "--X", "--coeffs",
                                       "train --config", "eval --config",
@@ -446,7 +454,7 @@ class TestCli:
     def test_verify_bad_sizes_rejected_before_any_suite_runs(
             self, tmp_path, capsys, monkeypatch, sizes):
         ran = []
-        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ran.append(name))
+        monkeypatch.setattr(cli, "SUITES", {name: lambda **kw: ran.append(kw) for name in SUITES})
         out = tmp_path / "report.json"
         assert main(["verify", "--suite", "algebra,star-bounds", "--n", sizes,
                      "--out", str(out)]) == 2
@@ -461,6 +469,14 @@ class TestCli:
         report = json.loads(out.read_text())
         assert report[0]["suite"] == "algebra" and report[0]["passed"]
         assert "[PASS]" in capsys.readouterr().out
+
+    def test_verify_all_suites_pass_and_fix_their_configuration(self, tmp_path):
+        # acceptance criteria assert on these reports, so only the star sizes vary
+        for name, suite in SUITES.items():
+            assert set(inspect.signature(suite).parameters) <= {"ns"}, name
+        out = tmp_path / "report.json"
+        assert main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        assert sorted(r["suite"] for r in json.loads(out.read_text())) == sorted(SUITES)
 
     def test_verify_gradcheck_reaches_the_parameterizer(self, tmp_path):
         out = tmp_path / "report.json"
@@ -499,7 +515,7 @@ class TestCli:
     def test_verify_unknown_suite_rejected_before_any_suite_runs(
             self, tmp_path, capsys, monkeypatch, suites):
         ran = []
-        monkeypatch.setattr(cli, "run_suite", lambda name, **kw: ran.append(name))
+        monkeypatch.setattr(cli, "SUITES", {name: lambda **kw: ran.append(kw) for name in SUITES})
         out = tmp_path / "report.json"
         code = main(["verify", "--suite", suites, "--out", str(out)])
         assert code == 2
@@ -608,7 +624,9 @@ class TestTrainEvalExportCli:
 
 
 class TestExportMuInputErrors:
-    @pytest.mark.parametrize("case", ["graph", "rows", "columns"])
+    @pytest.mark.parametrize("case", ["graph", "rows", "columns", "non-finite",
+                                      "meta-index", "meta-negative", "meta-empty",
+                                      "meta-not-object"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, case):
         cfg = ModelConfig(layers=1, K=2, hidden=4)
         model = MuChebNet(1, cfg, seed=0)
@@ -623,12 +641,25 @@ class TestExportMuInputErrors:
         elif case == "rows":
             write_csv_matrix(np.ones(5), xpath)
             expected = [f"--X {xpath} has 5 rows", "n=6"]
-        else:
+        elif case == "columns":
             write_csv_matrix(np.ones((6, 2)), xpath)
             expected = [f"--X {xpath} has 2 columns", "in_dim=1"]
+        elif case == "non-finite":
+            write_csv_matrix(np.array([1.0, np.inf, 1.0, 1.0, 1.0, 1.0]), xpath)
+            expected = [f"--X {xpath}: data row 2 holds a non-finite value"]
+        elif case == "meta-not-object":
+            write_csv_matrix(np.ones(6), xpath)
+            (tmp_path / "meta.json").write_text(json.dumps(["bridge"]))
+            expected = [f"--meta {tmp_path / 'meta.json'}: not a JSON object"]
+        else:  # a role list naming a node the graph does not have
+            write_csv_matrix(np.ones(6), xpath)
+            nodes = {"meta-index": [2, 99], "meta-negative": [-1], "meta-empty": []}[case]
+            (tmp_path / "meta.json").write_text(json.dumps({"bell_a": [0], "bridge": nodes}))
+            expected = [f"--meta {tmp_path / 'meta.json'}: bridge {nodes}", "0 to 5"]
+        meta = ["--meta", str(tmp_path / "meta.json")] if case.startswith("meta") else []
         out = tmp_path / "mu.csv"
         assert main(["export-mu", "--checkpoint", str(ckpt), "--graph", str(gpath),
-                     "--X", str(xpath), "--out", str(out)]) == 2
+                     "--X", str(xpath), "--out", str(out)] + meta) == 2
         assert not out.exists()
         assert not (tmp_path / "mu.csv.manifest.json").exists()
         err = capsys.readouterr().err
@@ -691,6 +722,18 @@ class TestConfigAndCheckpointInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "abc", "1.5", ""])
+    def test_bad_thread_count_exits_2_before_any_worker(self, tmp_path, capsys, monkeypatch,
+                                                         threads):
+        monkeypatch.setenv("BE_SPECTRAL_THREADS", threads)
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_RUN, "seeds": [0, 1]}))
+        assert main(["train", "--config", str(path), "--parallel-seeds"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert f"BE_SPECTRAL_THREADS={threads!r} must be a positive integer" in err, err
 
     def test_train_without_a_connected_graph(self, tmp_path, capsys):
         path, out = tmp_path / "run.json", tmp_path / "runs"

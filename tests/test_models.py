@@ -267,11 +267,6 @@ class TestStableVariant:
             ev_damped = np.linalg.eigvals(w - w.T - cfg.gamma * np.eye(16))
             npt.assert_allclose(ev_damped.real, -cfg.gamma, atol=1e-10)
 
-    def test_stability_contrast_suite(self):
-        from be_spectral.verify import suite_stability
-        report = suite_stability()
-        assert report["passed"], report
-
 
 class TestLosses:
     def test_mse_zero_when_equal(self):

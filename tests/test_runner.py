@@ -1,6 +1,7 @@
 """Dataset assembly, training loop behavior, reproducibility."""
 import gc
 import json
+import os
 import weakref
 
 import numpy as np
@@ -278,6 +279,21 @@ class TestTrainMulti:
         parallel = train_multi(cfg, parallel=True)
         for r1, r2 in zip(serial["per_seed"], parallel["per_seed"]):
             assert r1["test"] == r2["test"]
+
+    @pytest.mark.parametrize("threads", ["0", "abc"])
+    def test_bad_thread_count_raises_before_the_pool(self, monkeypatch, threads):
+        monkeypatch.setenv("BE_SPECTRAL_THREADS", threads)
+        monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                            lambda *a, **k: pytest.fail("pool started"))
+        monkeypatch.setattr(runner, "_train_seed_worker", lambda *a: pytest.fail("trained"))
+        with pytest.raises(ValueError, match="BE_SPECTRAL_THREADS"):
+            train_multi(tiny_barbell_config(), parallel=True)
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setenv("BE_SPECTRAL_THREADS", " 3 ")
+        assert runner.worker_count() == 3
+        monkeypatch.delenv("BE_SPECTRAL_THREADS")
+        assert runner.worker_count() == (os.cpu_count() or 1)
 
 
 class TestRingTraining:
