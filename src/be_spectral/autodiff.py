@@ -16,9 +16,11 @@ scatter into a dense matrix, from which the models assemble the operator.
 ``cheb_layer`` records a whole Chebyshev layer, sum_k T_k(op) h W_k, as
 one node. It writes the terms T_k(op) h, transposed, into one buffer with
 a contiguous block of rows per term; its backward runs the adjoint
-(Clenshaw) recurrence in the same layout, so the operator gets one batched
-gradient contraction with that buffer per layer. ``matmul`` and
-``cheb_layer`` skip the gradients of constant operands.
+(Clenshaw) recurrence in one adjoint buffer of the same layout, each block
+overwritten by its scaled adjoint once the recurrence has read it, so the
+operator gets one batched gradient contraction with those two buffers per
+layer. ``matmul`` and ``cheb_layer`` skip the gradients of constant
+operands.
 
 Tapes are single-threaded and meant to live for one training step.
 A tensor refers to its tape only weakly, so a finished step (tape,
@@ -334,7 +336,10 @@ def cheb_layer(op, h, weights) -> Tensor:
     with the stacked weights. The
     backward runs A_k = G W_k^T + c_{k+1} op^T A_{k+1} - A_{k+2} (c_1 = 1,
     c_k = 2 for k >= 2) from k = K down; ``h`` gets A_0, ``op`` gets
-    sum_{k>=1} c_k A_k Z_{k-1}^T and W_k gets Z_k^T G.
+    sum_{k>=1} c_k A_k Z_{k-1}^T and W_k gets Z_k^T G. It keeps one
+    adjoint buffer shaped like the forward's: block k holds B^T_k = W_k G^T
+    until step k reads it and is then overwritten by c_k A^T_k, which step
+    k - 1 and the operator gradient read.
     """
     op, h = _as_tensor(op), _as_tensor(h)
     weights = [_as_tensor(w) for w in weights]
@@ -353,26 +358,26 @@ def cheb_layer(op, h, weights) -> Tensor:
         grads = [None, None, *np.split(gw, K + 1)]
         if not (op.requires_grad or h.requires_grad):
             return grads
-        # transposed (..., c_in, n) adjoints, laid out in blocks like z_t
-        b_t = w_all @ np.ascontiguousarray(np.swapaxes(g, -1, -2))   # B^T_0 ... B^T_K
-        scaled_t = np.empty(b_t.shape[:-2] + (K * c_in, n))  # c_k A^T_k, k >= 1
+        # transposed (..., c_in, n) adjoints, laid out in blocks like z_t:
+        # block k holds B^T_k until step k reads it, then c_k A^T_k
+        b_t = w_all @ np.ascontiguousarray(np.swapaxes(g, -1, -2))
         a1 = a2 = None                                   # A^T_{k+1}, A^T_{k+2}
         for k in range(K, -1 if h.requires_grad else 0, -1):
             if k == K:
-                a = b_t[..., rows(k), :]
+                a = b_t[..., rows(k), :].copy()
             else:
-                a = scaled_t[..., rows(k), :] @ op.data
+                a = b_t[..., rows(k + 1), :] @ op.data
                 a += b_t[..., rows(k), :]
             if k <= K - 2:
                 a -= a2
             if k >= 1:
-                np.multiply(a, 1.0 if k == 1 else 2.0, out=scaled_t[..., rows(k - 1), :])
+                np.multiply(a, 1.0 if k == 1 else 2.0, out=b_t[..., rows(k), :])
             a1, a2 = a, a1
         if h.requires_grad:
             grads[1] = _unbroadcast(np.swapaxes(a1, -1, -2), h.shape)
         if op.requires_grad and K >= 1:
-            grads[0] = _unbroadcast(np.swapaxes(scaled_t, -1, -2) @ z_t[..., :K * c_in, :],
-                                    op.shape)
+            grads[0] = _unbroadcast(np.swapaxes(b_t[..., c_in:, :], -1, -2)
+                                    @ z_t[..., :K * c_in, :], op.shape)
         return grads
 
     return _record((op, h, *weights), out, vjp)

@@ -214,9 +214,14 @@ def cmd_train(args) -> int:
 
 
 def _model_from_checkpoint(ckpt_dir):
+    """The checkpointed model; its manifest ``meta`` needs ``model`` and ``in_dim``."""
     params, meta = load_checkpoint(ckpt_dir)
-    mcfg = ModelConfig.from_dict(meta["model"])
-    model = MuChebNet(int(meta["in_dim"]), mcfg, seed=int(meta.get("seed", 0)))
+    if "model" not in meta:
+        raise ValueError("manifest meta has no model block")
+    in_dim = meta.get("in_dim")
+    if not (isinstance(in_dim, int) and not isinstance(in_dim, bool) and in_dim >= 1):
+        raise ValueError(f"manifest meta in_dim {in_dim!r} must be an integer >= 1")
+    model = MuChebNet(in_dim, ModelConfig.from_dict(meta["model"]))  # weights loaded below
     model.load_params(params)
     return model
 

@@ -99,18 +99,50 @@ def save_checkpoint(directory, params: dict, meta: dict | None = None) -> Path:
     return directory
 
 
+def _is_tensor_entry(entry) -> bool:
+    """A manifest ``tensors`` entry: name, shape of sizes, blob named in the directory."""
+    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("shape"), list) and isinstance(entry.get("file"), str)):
+        return False
+    file = entry["file"]
+    return (Path(file).name == file and file not in ("", ".", "..")
+            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
+                    for s in entry["shape"]))
+
+
 def load_checkpoint(directory):
-    """Returns (params dict, meta dict)."""
+    """Returns (params dict, meta dict).
+
+    The manifest must be a JSON object with a ``tensors`` list of
+    ``{"name", "shape", "file"}`` objects, ``file`` a plain file name in
+    the directory, and an optional ``meta`` object; otherwise ``ValueError``
+    names the manifest. A missing or wrong-sized blob raises ``ValueError``
+    naming the blob.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
+    mpath = directory / "manifest.json"
+    try:
+        manifest = json.loads(mpath.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{mpath}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{mpath}: not a JSON object")
+    tensors, meta = manifest.get("tensors"), manifest.get("meta", {})
+    if not isinstance(tensors, list) or not isinstance(meta, dict):
+        raise ValueError(f"{mpath}: needs a 'tensors' list and a 'meta' object")
     params = {}
-    for entry in manifest["tensors"]:
+    for i, entry in enumerate(tensors):
+        if not _is_tensor_entry(entry):
+            raise ValueError(f"{mpath}: tensors[{i}] is not a name, a shape and a file "
+                             "name inside the directory")
         path, shape = directory / entry["file"], tuple(entry["shape"])
+        if not path.is_file():
+            raise ValueError(f"{path}: no such file, named by {mpath}")
         raw, need = path.read_bytes(), 8 * int(np.prod(shape))
         if len(raw) != need:
             raise ValueError(f"{path}: {len(raw)} bytes, shape {shape} needs {need}")
         params[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-    return params, manifest.get("meta", {})
+    return params, meta
 
 
 def dump_instance(directory, instance) -> Path:

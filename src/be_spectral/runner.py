@@ -52,9 +52,29 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = config_from_dict(cls, d, "run-config")
+        cfg._check_loop()
         ModelConfig.from_dict(cfg.model)  # bad model or task blocks fail before any data is made
         task_spec(cfg.task)
         return cfg
+
+    def _check_loop(self) -> None:
+        """``ValueError`` unless the loop fields are integers in range.
+
+        ``epochs`` and ``patience`` are at least 0 (0 epochs evaluates the
+        untrained model), ``eval_every`` at least 1, ``batch_size`` null (full
+        batch) or at least 1, and ``seeds`` a non-empty list.
+        """
+        is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+        for key, low in (("epochs", 0), ("patience", 0), ("eval_every", 1)):
+            value = getattr(self, key)
+            if not (is_int(value) and value >= low):
+                raise ValueError(f"run-config {key} {value!r} must be an integer >= {low}")
+        if not (self.batch_size is None or is_int(self.batch_size) and self.batch_size >= 1):
+            raise ValueError(f"run-config batch_size {self.batch_size!r} must be null "
+                             "or an integer >= 1")
+        if not (isinstance(self.seeds, list) and self.seeds and all(map(is_int, self.seeds))):
+            raise ValueError(f"run-config seeds {self.seeds!r} must be a non-empty "
+                             "list of integers")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -277,8 +297,10 @@ def _keep_freed_memory() -> None:
     """Keep freed heap pages in the process for the next step (Linux only).
 
     Each train step and evaluation allocates tens of MB of arrays and frees
-    them when its tape is dropped. With glibc's default thresholds those
-    pages go back to the OS and fault in again on the next step. On the
+    them when its tape is dropped: a step's as :func:`_train_step` returns,
+    so at most one step's tape is alive at a time. With glibc's default
+    thresholds those pages go back to the OS and fault in again on the next
+    step; kept, the next step reuses them. On the
     barbell benchmark config (2-core x86-64, three alternating 20 s pairs)
     epoch p50 read 24.4/24.2/34.9 ms with it and 26.5/25.3/37.6 ms without.
     """
@@ -289,6 +311,23 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the largest value glibc accepts
     mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+def _train_step(model: MuChebNet, data: TaskData, batch, state: ad.AdamState,
+                lr: float, hyper: dict, epoch: int) -> float:
+    """One forward, backward and Adam update on ``batch``; returns its loss.
+
+    The step's tape, loss and gradients die when it returns, so the next
+    evaluation and forward never run beside them.
+    """
+    tape = ad.Tape()
+    loss, _, _ = _batch_loss(model, data, batch, tape)
+    if not np.isfinite(loss.data):
+        raise NaNLoss(f"non-finite training loss at epoch {epoch}")
+    grads = {t.name: g for t, g in ad.backward(tape, loss).items()}
+    ad.adam_step(model.params, grads, state, lr, **hyper)
+    ad.check_finite(model.params, f"epoch {epoch}")
+    return float(loss.data)
 
 
 def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
@@ -323,14 +362,7 @@ def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
         nb = 0
         for start in range(0, len(order), bs):
             batch = [data.train[i] for i in order[start:start + bs]]
-            tape = ad.Tape()
-            loss, _, _ = _batch_loss(model, data, batch, tape)
-            if not np.isfinite(loss.data):
-                raise NaNLoss(f"non-finite training loss at epoch {epoch}")
-            grads = {t.name: g for t, g in ad.backward(tape, loss).items()}
-            ad.adam_step(model.params, grads, state, lr, **hyper)
-            ad.check_finite(model.params, f"epoch {epoch}")
-            train_loss += float(loss.data)
+            train_loss += _train_step(model, data, batch, state, lr, hyper, epoch)
             nb += 1
         train_loss /= max(nb, 1)
 

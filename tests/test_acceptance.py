@@ -3,8 +3,9 @@
 Criteria 1-4, 6 and 7 run the ``be-spectral verify`` suites, which fix
 the seeds and cases, and assert on their reports. Training-based
 criteria share module-scoped fixtures so the determinism criterion can
-re-run a seed and compare bit for bit. Run with
-``pytest tests/test_acceptance.py -v -s`` to watch the lines stream.
+re-run a seed and compare bit for bit; criteria 8-11 carry the ``slow``
+marker. Run with ``pytest tests/test_acceptance.py -v -s`` to watch the
+lines stream.
 """
 import time
 
@@ -185,6 +186,7 @@ def test_criterion_07_stable_variant():
             f"{elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_barbell_desk_scale(barbell_results):
     mu_nmse = barbell_results["mu"]["aggregate"]["nmse"]
     plain_nmse = barbell_results["plain"]["aggregate"]["nmse"]
@@ -198,6 +200,7 @@ def test_criterion_08_barbell_desk_scale(barbell_results):
             f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_ring_routing(ring_results):
     summary = ring_results["summary"]
     accs = [r["test"]["accuracy"] for r in summary["per_seed"]]
@@ -211,6 +214,7 @@ def test_criterion_09_ring_routing(ring_results):
             f"(contrasts {[round(c, 4) for c in contrasts]}); {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_10_graph_property_sssp(sssp_results):
     trained = sssp_results["trained"]["aggregate"]["log10_mse"]["mean"]
     untrained = sssp_results["untrained"]["aggregate"]["log10_mse"]["mean"]
@@ -223,6 +227,7 @@ def test_criterion_10_graph_property_sssp(sssp_results):
             f"{k0:.3f}; {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_11_determinism(barbell_results, ring_results, sssp_results):
     t0 = time.time()
     mismatches = []

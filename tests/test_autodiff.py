@@ -316,6 +316,21 @@ class TestChebLayer:
         assert results[1].shape == shared.shape
         npt.assert_allclose(results[1], results[0], rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("K", [0, 1, 2, 9])
+    def test_vjp_twice_is_bit_equal(self, K):
+        # the backward overwrites its adjoint buffer block by block; each call
+        # starts from a fresh one and leaves the forward's buffer and g as given
+        op0, h0, w0 = self.inputs(K)
+        tape = ad.Tape()
+        out = ad.cheb_layer(tape.leaf(op0), tape.leaf(h0), [tape.leaf(w) for w in w0])
+        g = np.random.default_rng(1).standard_normal(out.shape)
+        g0 = g.copy()
+        first, second = out.vjp(g), out.vjp(g)
+        npt.assert_array_equal(g, g0)
+        assert len(first) == len(second) == K + 3
+        for a, b in zip(first, second):
+            npt.assert_array_equal(a, b)
+
     def test_constant_operands_get_no_gradient(self):
         op0, h0, w0 = self.inputs(2)
         tape = ad.Tape()

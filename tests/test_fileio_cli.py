@@ -22,6 +22,14 @@ TINY_RUN = {"task": {"name": "barbell", "n": 12, "k_path": 4,
             "model": {"layers": 1, "K": 2, "hidden": 4}, "epochs": 1}
 
 
+# run-config loop fields the config load rejects
+LOOP_FIELD_CASES = {
+    "eval-every-zero": {"eval_every": 0}, "eval-every-float": {"eval_every": 2.5},
+    "batch-size-negative": {"batch_size": -1}, "batch-size-zero": {"batch_size": 0},
+    "epochs-negative": {"epochs": -3}, "seeds-empty": {"seeds": []},
+}
+
+
 def _checkpoint(directory, cfg=None, params=None):
     """A checkpoint of an untrained one-input model (``params`` overrides its tensors)."""
     cfg = cfg or ModelConfig(layers=1, K=2, hidden=4)
@@ -143,6 +151,51 @@ class TestCsvAndCheckpoints:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(ValueError, match="param_0000.bin: 40 bytes, shape \\(2, 3\\) needs 48"):
             load_checkpoint(tmp_path / "ckpt")
+
+    MALFORMED_MANIFESTS = {  # case: what the error names
+        "list": "manifest.json: not a JSON object",
+        "no-tensors": "manifest.json: needs a 'tensors' list and a 'meta' object",
+        "meta-list": "manifest.json: needs a 'tensors' list and a 'meta' object",
+        "entry-not-object": r"manifest.json: tensors\[1\] is not",
+        "entry-no-shape": r"manifest.json: tensors\[0\] is not",
+        "negative-size": r"manifest.json: tensors\[0\] is not",
+        "file-outside": r"manifest.json: tensors\[0\] is not",
+        "file-in-subdir": r"manifest.json: tensors\[0\] is not",
+        "file-dotdot": r"manifest.json: tensors\[0\] is not",
+        "not-json": "manifest.json: Expecting",
+        "missing-blob": "param_0001.bin: no such file, named by .*manifest.json",
+    }
+
+    @pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
+    def test_malformed_manifest(self, tmp_path, case):
+        ckpt = save_checkpoint(tmp_path / "ckpt", {"a": np.zeros((2, 3)), "b": np.ones(4)})
+        (tmp_path / "x").write_bytes(bytes(48))  # a blob outside the checkpoint
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        entry = manifest["tensors"][0]
+        if case == "list":
+            manifest = [manifest]
+        elif case == "no-tensors":
+            del manifest["tensors"]
+        elif case == "meta-list":
+            manifest["meta"] = []
+        elif case == "entry-not-object":
+            manifest["tensors"][1] = "b"
+        elif case == "entry-no-shape":
+            del entry["shape"]
+        elif case == "negative-size":
+            entry["shape"] = [-2, -3]
+        elif case == "file-outside":
+            entry["file"] = "../x"
+        elif case == "file-in-subdir":
+            entry["file"] = "sub/param_0000.bin"
+        elif case == "file-dotdot":
+            entry["file"] = ".."
+        elif case == "missing-blob":
+            (ckpt / "param_0001.bin").unlink()
+        text = "{" if case == "not-json" else json.dumps(manifest)
+        (ckpt / "manifest.json").write_text(text)
+        with pytest.raises(ValueError, match=self.MALFORMED_MANIFESTS[case]):
+            load_checkpoint(ckpt)
 
     def test_instance_dump(self, tmp_path):
         inst = gen_barbell(3, 2, seed=0)
@@ -671,7 +724,8 @@ class TestConfigAndCheckpointInputErrors:
     @pytest.mark.parametrize("case, named", [
         ("run-key", "epochz"), ("model-key", "layrs"), ("mu-key", "hiden"),
         ("mu-not-object", "model.mu"), ("not-object", "run-config"),
-        ("no-model", "model"), ("not-json", "--config")])
+        ("no-model", "model"), ("not-json", "--config"),
+        *[(case, next(iter(fields))) for case, fields in LOOP_FIELD_CASES.items()]])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_config_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                 command, case, named):
@@ -691,6 +745,8 @@ class TestConfigAndCheckpointInputErrors:
             config = [config]
         elif case == "no-model":
             del config["model"]
+        elif case in LOOP_FIELD_CASES:
+            config.update(LOOP_FIELD_CASES[case])
         path = tmp_path / "run.json"
         path.write_text("{" if case == "not-json" else json.dumps(config))
         argv = [command, "--config", str(path)]
@@ -767,7 +823,9 @@ class TestConfigAndCheckpointInputErrors:
 
     @pytest.mark.parametrize("command, case", [
         (command, case) for command in ("eval", "export-mu")
-        for case in ("shape", "names", "meta")] + [("export-mu", "no-parameterizer")])
+        for case in ("shape", "names", "meta", "manifest-empty", "manifest-list",
+                     "no-meta-model", "no-meta-in_dim", "null-in_dim", "missing-blob",
+                     "blob-outside")] + [("export-mu", "no-parameterizer")])
     def test_checkpoint_the_command_cannot_use(self, tmp_path, capsys, command, case):
         params = MuChebNet(1, ModelConfig(layers=1, K=2, hidden=4), seed=0).params
         if case == "shape":
@@ -775,10 +833,26 @@ class TestConfigAndCheckpointInputErrors:
                                params=params)
         elif case == "names":
             ckpt = _checkpoint(tmp_path / "ckpt", params={"stray": np.zeros(2), **params})
-        elif case == "meta":
+        elif case != "no-parameterizer":  # an edit of the manifest or its blobs
             ckpt = _checkpoint(tmp_path / "ckpt")
             manifest = json.loads((ckpt / "manifest.json").read_text())
-            manifest["meta"]["model"]["operator"] = "bogus"
+            if case == "meta":
+                manifest["meta"]["model"]["operator"] = "bogus"
+            elif case == "manifest-empty":
+                manifest = {}
+            elif case == "manifest-list":
+                manifest = [manifest]
+            elif case == "no-meta-model":
+                del manifest["meta"]["model"]
+            elif case == "no-meta-in_dim":
+                del manifest["meta"]["in_dim"]
+            elif case == "null-in_dim":
+                manifest["meta"]["in_dim"] = None
+            elif case == "missing-blob":
+                (ckpt / manifest["tensors"][0]["file"]).unlink()
+            else:
+                manifest["tensors"][0]["file"] = "../x"
+                (tmp_path / "x").write_bytes((ckpt / "param_0000.bin").read_bytes())
             (ckpt / "manifest.json").write_text(json.dumps(manifest))
         else:
             ckpt = _checkpoint(tmp_path / "ckpt", ModelConfig(layers=1, K=2, hidden=4,
@@ -794,3 +868,11 @@ class TestConfigAndCheckpointInputErrors:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--checkpoint {ckpt}" in err, err
+        detail = {"manifest-empty": "manifest.json: needs a 'tensors' list",
+                  "manifest-list": "manifest.json: not a JSON object",
+                  "no-meta-model": "manifest meta has no model block",
+                  "no-meta-in_dim": "manifest meta in_dim None must be",
+                  "null-in_dim": "manifest meta in_dim None must be",
+                  "missing-blob": "param_0000.bin: no such file, named by",
+                  "blob-outside": "manifest.json: tensors[0] is not"}.get(case, "")
+        assert detail in err, err

@@ -2,6 +2,7 @@
 import gc
 import json
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -259,6 +260,71 @@ class TestTrainRun:
                 gc.enable()
         assert len(refs) == 6  # two steps and two evals, then final val and test
         assert not alive
+
+    def test_one_training_step_alive_at_a_time(self, monkeypatch):
+        # a finished step's tape, loss and gradients die as the step returns,
+        # so no forward runs beside an earlier step's tape
+        earlier, alive_at_entry = [], []
+
+        def batch_loss(model, data, instances, tape, _orig=runner._batch_loss):
+            alive_at_entry.append(sum(r() is not None for r in earlier))
+            out = _orig(model, data, instances, tape)
+            earlier.extend([weakref.ref(tape), weakref.ref(out[0].data)])
+            return out
+
+        def backward(tape, loss, _orig=ad.backward):
+            grads = _orig(tape, loss)
+            earlier.extend(weakref.ref(g) for g in grads.values())
+            return grads
+
+        monkeypatch.setattr(runner, "_batch_loss", batch_loss)
+        monkeypatch.setattr(ad, "backward", backward)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            train_run(tiny_barbell_config(epochs=2, batch_size=3), seed=0)
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(alive_at_entry) == 2 * (3 + 1) + 2  # three steps and an eval per epoch
+        assert alive_at_entry == [0] * len(alive_at_entry)
+
+    def test_barbell_peak_memory(self):
+        # criterion 8's barbell config for two epochs: one step's tape at a
+        # time and one Chebyshev adjoint buffer per backward hold the traced
+        # peak near 30 MB
+        cfg = RunConfig.from_dict({
+            "task": {"name": "barbell", "n": 50, "k_path": 4, "counts": [96, 24, 32],
+                     "data_seed": 7},
+            "model": {"layers": 2, "K": 9, "hidden": 16},
+            "optim": {"lr": 0.01, "weight_decay": 1e-5}, "epochs": 2})
+        tracemalloc.start()
+        try:
+            train_run(cfg, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6, peak
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"eval_every": 0}, "eval_every 0 must be an integer >= 1"),
+        ({"eval_every": 2.5}, "eval_every 2.5 must be an integer >= 1"),
+        ({"epochs": -3}, "epochs -3 must be an integer >= 0"),
+        ({"epochs": True}, "epochs True must be an integer >= 0"),
+        ({"patience": -1}, "patience -1 must be an integer >= 0"),
+        ({"batch_size": -1}, "batch_size -1 must be null or an integer >= 1"),
+        ({"batch_size": 0}, "batch_size 0 must be null or an integer >= 1"),
+        ({"batch_size": "4"}, "batch_size '4' must be null or an integer >= 1"),
+        ({"seeds": []}, r"seeds \[\] must be a non-empty list of integers"),
+        ({"seeds": 3}, "seeds 3 must be a non-empty list of integers"),
+        ({"seeds": [0, 1.5]}, r"seeds \[0, 1.5\] must be a non-empty list"),
+    ], ids=["eval-every-zero", "eval-every-float", "epochs-negative", "epochs-bool",
+            "patience-negative", "batch-negative", "batch-zero", "batch-string",
+            "seeds-empty", "seeds-int", "seeds-float"])
+    def test_loop_fields_rejected_as_they_load(self, monkeypatch, fields, message):
+        monkeypatch.setattr(runner, "task_spec", lambda *a, **k: pytest.fail("task parsed"))
+        with pytest.raises(ValueError, match=f"run-config {message}"):
+            tiny_barbell_config(**fields)
 
 
 class TestTrainMulti:

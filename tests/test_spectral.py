@@ -174,6 +174,7 @@ class TestLambdaMaxPower:
         assert any("did not converge" in r.message for r in caplog.records)
         assert abs(lam - np.linalg.eigvalsh(op.dense())[-1]) <= 1e-12
 
+    @pytest.mark.slow  # builds the module's large_edge_operator (about 4 s)
     def test_edge_list_operator_matches_lapack(self, large_edge_operator, monkeypatch):
         op, lam_true = large_edge_operator
         assert not op.is_dense
@@ -240,6 +241,7 @@ class TestLambdaMaxPower:
         lam_true = np.linalg.eigvalsh(op.dense())[-1]
         assert abs(lam - lam_true) <= 1e-12 * lam_true
 
+    @pytest.mark.slow  # builds the module's large_edge_operator (about 4 s)
     def test_stops_once_the_ritz_value_converges(self, large_edge_operator, monkeypatch):
         # stopping on the residual |beta_k s_k| alone took 48 matvecs here
         op, _ = large_edge_operator
