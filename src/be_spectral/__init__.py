@@ -8,17 +8,14 @@ potential end to end, synthetic long-range tasks with exact oracles, and
 the ``be-spectral`` experiment CLI.
 """
 
-from .graphs import (Graph, build_graph, grad, grad_adjoint, divergence,
-                     laplacian, dirichlet_form, ring_graph, star_graph,
+from .graphs import (Graph, build_graph, grad, laplacian, ring_graph, star_graph,
                      barbell_graph)
 from .operators import SymOperator, DENSE_LIMIT
-from .be import (BEOperator, build_be, validate_potential, floor_potential,
+from .be import (BEOperator, build_be, validate_potential,
                  advection_decomposition, normalized_be, heat_flow,
                  DEFAULT_MU_FLOOR)
 from .spectral import (SpectralDecomposition, eig_sym, lambda_max_power,
-                       rayleigh, VariationProfile, variation_profile,
-                       rayleigh_factorization_check, star_spectral_check,
-                       four_ring_showcase)
+                       rayleigh, VariationProfile, variation_profile)
 from .chebyshev import (ChebFilter, scale_operator, cheb_apply, cheb_apply_be,
                         cheb_spectral_oracle)
 from .autodiff import Tape, Tensor, backward, constant, AdamState, adam_step

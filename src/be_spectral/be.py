@@ -55,11 +55,6 @@ def validate_potential(g: Graph, mu) -> np.ndarray:
     return mu
 
 
-def floor_potential(mu, eps: float = DEFAULT_MU_FLOOR) -> np.ndarray:
-    """Clamp a potential away from zero (never done silently elsewhere)."""
-    return np.maximum(np.asarray(mu, dtype=np.float64), eps)
-
-
 @dataclass(frozen=True, eq=False)
 class BEOperator:
     """Graph + potential + the induced weighted Laplacian pieces.
@@ -79,12 +74,6 @@ class BEOperator:
         return SymOperator.from_edges(
             self.graph.n, self.graph.edges, -self.edge_weights, self.degrees
         )
-
-    def matrix(self) -> np.ndarray:
-        return self.operator().dense()
-
-    def matvec(self, f: np.ndarray) -> np.ndarray:
-        return self.operator().matvec(f)
 
 
 def build_be(g: Graph, mu) -> BEOperator:
@@ -114,7 +103,7 @@ def advection_decomposition(be: BEOperator, f: np.ndarray):
     diffusion = be.mu * laplacian(g).matvec(f)
     advection = endpoint_sums(0.5 * grad(g, be.mu) * grad(g, f),
                               g.edges[:, 0], g.edges[:, 1], g.n)
-    reference = be.matvec(f)
+    reference = be.operator().matvec(f)
     scale = max(np.abs(reference).max(), np.abs(diffusion).max(), 1e-300)
     err = np.abs(diffusion - advection - reference).max()
     if err > 1e-12 * scale:
@@ -130,12 +119,13 @@ def normalized_be(be: BEOperator) -> SymOperator:
 
     Returned as an edge-list :class:`SymOperator`; its spectrum lies in
     [0, 2]. Raises :class:`IsolatedNodeUnderMu` when a weighted degree
-    vanishes — floor the potential first.
+    vanishes.
     """
     if (be.degrees <= 0.0).any():
         i = int(np.nonzero(be.degrees <= 0.0)[0][0])
         raise IsolatedNodeUnderMu(
-            f"weighted degree of node {i} is zero; apply floor_potential first"
+            f"weighted degree of node {i} is zero: the node is isolated, or it and "
+            "its neighbours have zero potential"
         )
     r = 1.0 / np.sqrt(be.degrees)
     e = be.graph.edges

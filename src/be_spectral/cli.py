@@ -21,7 +21,7 @@ from .errors import (DisconnectedAfterRetries, HeatSeriesTooLong, IsolatedNodeUn
                      UnstableStep)
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
-from .models import ModelConfig, MuChebNet, context_for
+from .models import ModelConfig, MuChebNet, check_int, context_for
 from .runner import RunConfig, build_dataset, evaluate, task_spec, train_multi, worker_count
 from .spectral import eig_sym
 from .verify import SUITES
@@ -218,10 +218,8 @@ def _model_from_checkpoint(ckpt_dir):
     params, meta = load_checkpoint(ckpt_dir)
     if "model" not in meta:
         raise ValueError("manifest meta has no model block")
-    in_dim = meta.get("in_dim")
-    if not (isinstance(in_dim, int) and not isinstance(in_dim, bool) and in_dim >= 1):
-        raise ValueError(f"manifest meta in_dim {in_dim!r} must be an integer >= 1")
-    model = MuChebNet(in_dim, ModelConfig.from_dict(meta["model"]))  # weights loaded below
+    check_int("manifest meta", "in_dim", meta.get("in_dim"), 1)
+    model = MuChebNet(meta["in_dim"], ModelConfig.from_dict(meta["model"]))  # weights loaded below
     model.load_params(params)
     return model
 

@@ -5,12 +5,9 @@ lexicographically, so every derived quantity is a deterministic function
 of the edge *set* (input order never matters). Node functions are length-n
 vectors, edge functions length-m vectors in canonical edge order.
 
-Conventions: the gradient on edge (i, j) is f[j] - f[i]; the adjoint of
-the gradient under the plain inner products is
-``adjoint(F)[i] = 0.5 * sum_{j ~ i} (F(j,i) - F(i,j))`` with edge values
-extended antisymmetrically, and the divergence is -2 times that adjoint.
-With these choices ``divergence(grad f) = -2 L f`` for the combinatorial
-Laplacian L = D - A.
+Conventions: the gradient on edge (i, j) is f[j] - f[i], and the
+combinatorial Laplacian is L = D - A, so f^T L h is the edge sum of
+grad f * grad h. Edge-to-node sums go through :func:`scatter_rows`.
 """
 from __future__ import annotations
 
@@ -89,15 +86,6 @@ def _check_node_signal(g: Graph, f: np.ndarray, name: str = "f") -> np.ndarray:
     return f
 
 
-def _check_edge_signal(g: Graph, F: np.ndarray, name: str = "F") -> np.ndarray:
-    F = np.asarray(F, dtype=np.float64)
-    if F.shape[0] != g.m:
-        raise ValueError(f"{name} has length {F.shape[0]}, graph has m={g.m}")
-    if not np.isfinite(F).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return F
-
-
 def grad(g: Graph, f: np.ndarray) -> np.ndarray:
     """Edge signal f[j] - f[i] per canonical edge (i < j).
 
@@ -126,31 +114,10 @@ def endpoint_sums(v, ei, ej, n: int) -> np.ndarray:
     return scatter_rows(np.concatenate([v, v], axis=-1), np.concatenate([ei, ej]), n)
 
 
-def grad_adjoint(g: Graph, F: np.ndarray) -> np.ndarray:
-    """Adjoint of ``grad``: <grad f, F>_E = <f, grad_adjoint F>_V exactly."""
-    F = np.moveaxis(_check_edge_signal(g, F), 0, -1)
-    out = scatter_rows(np.concatenate([-F, F], axis=-1), g.edges.T.ravel(), g.n)
-    return np.moveaxis(out, -1, 0)
-
-
-def divergence(g: Graph, F: np.ndarray) -> np.ndarray:
-    """Divergence, defined as -2 times the gradient adjoint."""
-    return -2.0 * grad_adjoint(g, F)
-
-
 def laplacian(g: Graph) -> SymOperator:
     """Combinatorial Laplacian L = D - A (integer entries, zero row sums)."""
     w = -np.ones(g.m)
     return SymOperator.from_edges(g.n, g.edges, w, g.degrees.astype(np.float64))
-
-
-def dirichlet_form(g: Graph, f: np.ndarray, h: np.ndarray) -> float:
-    """0.5 * f^T L h, evaluated as half the edge sum of grad f * grad h."""
-    f = _check_node_signal(g, f)
-    h = _check_node_signal(g, h, "h")
-    if f.ndim != 1 or h.ndim != 1:
-        raise ValueError("dirichlet_form expects single-channel signals")
-    return 0.5 * float(np.dot(grad(g, f), grad(g, h)))
 
 
 # --- convenience constructors used across tasks and checks ---

@@ -30,6 +30,7 @@ every edge weight is 1 and the operator is the combinatorial Laplacian.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -56,11 +57,35 @@ def config_from_dict(cls, d, block: str):
         raise ValueError(f"{block}: {exc}") from None
 
 
+def is_int(value) -> bool:
+    """An ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_int(block: str, key: str, value, low: int) -> None:
+    """``ValueError`` unless ``value`` is an integer (not a bool) >= ``low``."""
+    if not (is_int(value) and value >= low):
+        raise ValueError(f"{block} {key} {value!r} must be an integer >= {low}")
+
+
+def check_real(block: str, key: str, value, positive: bool = False) -> None:
+    """``ValueError`` unless ``value`` is a finite number >= 0, or > 0 if ``positive``."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise ValueError(f"{block} {key} {value!r} must be a finite number "
+                         f"{'>' if positive else '>='} 0")
+
+
 @dataclass
 class MuConfig:
     layers: int = 2
     hidden: int = 16
     eps_floor: float = DEFAULT_MU_FLOOR
+
+    def __post_init__(self):
+        check_int("model.mu", "layers", self.layers, 0)
+        check_int("model.mu", "hidden", self.hidden, 1)
+        check_real("model.mu", "eps_floor", self.eps_floor, positive=True)
 
 
 @dataclass
@@ -76,7 +101,6 @@ class ModelConfig:
     stable: bool = False
     gamma: float = 0.05
     eps: float = 0.1             # residual step size of the stable update
-    post_nonlinearity: bool = False
     mu: MuConfig | None = field(default_factory=MuConfig)
 
     def __post_init__(self):
@@ -84,8 +108,10 @@ class ModelConfig:
             raise ValueError(f"unknown operator {self.operator!r}")
         if self.readout not in ("node", "graph"):
             raise ValueError(f"unknown readout {self.readout!r}")
-        if self.K < 0 or self.layers < 1:
-            raise ValueError("need K >= 0 and at least one layer")
+        for key, low in (("layers", 1), ("K", 0), ("hidden", 1), ("out_dim", 1)):
+            check_int("model", key, getattr(self, key), low)
+        for key in ("gamma", "eps"):
+            check_real("model", key, getattr(self, key))
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -293,8 +319,6 @@ class MuChebNet:
                 mats = [bound[f"layer{l}.W{k}"] for k in range(c.K + 1)]
                 effective = [m - ad.transpose2(m) - eye for m in mats]
                 h = h + ad.cheb_layer(op, h, effective) * c.eps
-                if c.post_nonlinearity:
-                    h = ad.relu(h)
                 trace(h)
         else:
             h = xs

@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NaNLoss
 from .fileio import save_checkpoint, write_csv_matrix
-from .models import (ModelConfig, MuChebNet, accuracy, config_from_dict,
-                     context_for, cross_entropy_loss, log10_mse, mse_loss)
+from .models import (ModelConfig, MuChebNet, accuracy, check_int, config_from_dict,
+                     context_for, cross_entropy_loss, is_int, log10_mse, mse_loss)
 from .graphs import barbell_graph
 from .tasks import (GRAPH_MODELS, PROPERTY_TASKS, TaskInstance, gen_barbell,
                     gen_graph_property, gen_ring_routing, ring_routing_graph)
@@ -54,7 +54,14 @@ class RunConfig:
         cfg = config_from_dict(cls, d, "run-config")
         cfg._check_loop()
         ModelConfig.from_dict(cfg.model)  # bad model or task blocks fail before any data is made
-        task_spec(cfg.task)
+        from_task = sorted({"out_dim", "readout"} & set(cfg.model))
+        if from_task:
+            raise ValueError(f"model keys {', '.join(from_task)}: the task sets them, "
+                             "so a run config may not")
+        counts = task_spec(cfg.task).counts
+        if min(counts[:2]) < 1:
+            raise ValueError(f"{cfg.task['name']} task counts {counts}: the train and val "
+                             "splits need at least one instance each")
         return cfg
 
     def _check_loop(self) -> None:
@@ -64,11 +71,8 @@ class RunConfig:
         untrained model), ``eval_every`` at least 1, ``batch_size`` null (full
         batch) or at least 1, and ``seeds`` a non-empty list.
         """
-        is_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
         for key, low in (("epochs", 0), ("patience", 0), ("eval_every", 1)):
-            value = getattr(self, key)
-            if not (is_int(value) and value >= low):
-                raise ValueError(f"run-config {key} {value!r} must be an integer >= {low}")
+            check_int("run-config", key, getattr(self, key), low)
         if not (self.batch_size is None or is_int(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"run-config batch_size {self.batch_size!r} must be null "
                              "or an integer >= 1")
@@ -168,7 +172,7 @@ def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
         else:
             raise ValueError("barbell task needs n or n_clique")
         barbell_graph(n_clique, k_path)  # checks the sizes; memoized for the instances
-        counts = counts or [64, 16, 32]
+        counts = [64, 16, 32] if counts is None else counts
         make = lambda s: gen_barbell(n_clique, k_path, seed=s)
         kinds = dict(loss_kind="mse", metric="nmse", in_dim=1, out_dim=1,
                      readout="node", shared_graph=True)
@@ -179,7 +183,7 @@ def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
         if classes < 1:
             raise ValueError(f"ring task classes {classes} must be at least 1")
         ring_routing_graph(n)  # checks the size; memoized for the instances
-        counts = counts or [256, 64, 128]
+        counts = [256, 64, 128] if counts is None else counts
         make = lambda s: gen_ring_routing(n, num_classes=classes, seed=s,
                                           noise_scale=noise)
         kinds = dict(loss_kind="cross-entropy", metric="accuracy", in_dim=classes,
@@ -198,7 +202,7 @@ def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
             raise ValueError(f"graph-property task p {p} must be in (0, 1]")
         if not 1 <= int(n_range[0]) <= int(n_range[-1]):
             raise ValueError(f"n_range {n_range} must be [lo, hi] with 1 <= lo <= hi")
-        counts = counts or [512, 64, 128]
+        counts = [512, 64, 128] if counts is None else counts
         make = lambda s: gen_graph_property(prop, n_range, seed=s, model=model,
                                             p=p, m_attach=m_attach)
         kinds = dict(loss_kind="mse", metric="log10_mse",

@@ -8,10 +8,10 @@ BLAS thread count; they may differ in the last bits between machines or
 thread counts. The spectral radius of operators too large to densify
 comes from a short Lanczos run (:func:`lambda_max_power`).
 
-On top of it sit the Rayleigh quotient, the per-node variation profile
-(squared local variation normalized to a probability distribution), the
-factorization identity relating weighted and unweighted Rayleigh
-quotients, and the star-graph spectral-control checks.
+On top of it sit the Rayleigh quotient and the per-node variation
+profile (squared local variation normalized to a probability
+distribution). The paper's identities built from them are checked in
+:mod:`be_spectral.verify`.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ZeroSignal
-from .graphs import Graph, _check_node_signal, endpoint_sums, grad, laplacian, star_graph
+from .graphs import Graph, _check_node_signal, endpoint_sums, grad
 from .operators import DENSE_LIMIT, SymOperator
 
 log = logging.getLogger(__name__)
@@ -197,135 +197,3 @@ def variation_profile(g: Graph, f: np.ndarray) -> VariationProfile:
     if total == 0.0:
         return VariationProfile(N_f=n_f, p_f=None, zero_variation=True)
     return VariationProfile(N_f=n_f, p_f=n_f / total, zero_variation=False)
-
-
-def rayleigh_factorization_check(g: Graph, mu: np.ndarray, f: np.ndarray):
-    """Evaluate both sides of R_mu(f) = ||mu||_1 * (mu_hat . p_f) * R(f).
-
-    The left side uses the potential-weighted operator directly, the right
-    side only the variation profile and the unweighted Rayleigh quotient.
-    Returns (lhs, rhs); they agree to ~1e-10 relative for any nonconstant f.
-    """
-    from .be import build_be  # local import to avoid a cycle
-
-    mu = np.asarray(mu, dtype=np.float64)
-    prof = variation_profile(g, f)
-    if prof.zero_variation:
-        raise ZeroSignal("factorization check needs a nonconstant signal")
-    lhs = rayleigh(build_be(g, mu).operator(), f)
-    mu_total = float(np.abs(mu).sum())
-    mu_hat = mu / mu_total
-    rhs = mu_total * float(mu_hat @ prof.p_f) * rayleigh(laplacian(g), f)
-    return lhs, rhs
-
-
-# --- star-graph spectral control ---
-
-def _star_mu_gap(n: int) -> np.ndarray:
-    """Unit-mass potential zeroing leaves 1 and 2, uniform 1/(n-2) elsewhere."""
-    mu = np.full(n, 1.0 / (n - 2))
-    mu[1] = mu[2] = 0.0
-    return mu
-
-
-def _star_mu_gap_radius(n: int) -> np.ndarray:
-    """Mass-2 potential: center 1/2, leaves 1,2 zero, rest lifted; normalized form."""
-    mu = np.full(n, 0.5 / (n - 1) + 1.0 / ((n - 1) * (n - 3)))
-    mu[0] = 0.5
-    mu[1] = mu[2] = 0.0
-    return mu
-
-
-def _star_top_eigenvector(n: int) -> np.ndarray:
-    g = np.full(n, -1.0 / np.sqrt(n * (n - 1)))
-    g[0] = np.sqrt((n - 1) / n)
-    return g
-
-
-def star_spectral_check(n: int, which: str) -> dict:
-    """Measure how the prescribed star-graph potentials move the spectrum.
-
-    ``which="gap"``: unit-mass potential that down-weights two leaves;
-    checks lambda_1^mu <= ||mu||_1 * lambda_1 / (2(n-2)) (equality at n=6).
-
-    ``which="gap-radius"``: mass-2 potential that simultaneously halves the
-    spectral gap and lifts the spectral radius. The gap half asserts
-    lambda_1^mu <= 0.5 * lambda_1. For the radius the report carries both
-    the nominal factor-3/2 lower bound and the directly recomputed bound
-    ||mu||_1 * lambda_{n-1} * E_muhat[p_g] with g the top eigenvector (the
-    assertion keys on the recomputed bound; the nominal one is reported
-    only, since it contradicts the Gershgorin row bound at small n).
-    """
-    from .be import build_be
-
-    if n < 5:
-        raise ValueError(f"star spectral checks need n >= 5, got {n}")
-    g = star_graph(n)
-    lam = eig_sym(laplacian(g)).eigenvalues
-    lambda_1, lambda_top = float(lam[1]), float(lam[-1])
-
-    if which == "gap":
-        mu_hat = _star_mu_gap(n)
-        mu_norm = 1.0
-    elif which == "gap-radius":
-        mu_hat = _star_mu_gap_radius(n)
-        mu_norm = 2.0
-    else:
-        raise ValueError(f"unknown check kind {which!r}")
-
-    mu = mu_norm * mu_hat
-    lam_mu = eig_sym(build_be(g, mu).operator()).eigenvalues
-    lambda_1_mu, lambda_top_mu = float(lam_mu[1]), float(lam_mu[-1])
-
-    report = {
-        "which": which,
-        "n": n,
-        "mu_norm": mu_norm,
-        "lambda_1": lambda_1,
-        "lambda_top": lambda_top,
-        "lambda_1_mu": lambda_1_mu,
-        "lambda_top_mu": lambda_top_mu,
-    }
-    if which == "gap":
-        bound = mu_norm * lambda_1 / (2.0 * (n - 2))
-        report["gap_bound"] = bound
-        report["gap_slack"] = bound - lambda_1_mu
-        report["gap_ok"] = bool(lambda_1_mu <= bound + 1e-12)
-    else:
-        gap_bound = 0.5 * lambda_1
-        prof = variation_profile(g, _star_top_eigenvector(n))
-        e_top = float(mu_hat @ prof.p_f)
-        recomputed = mu_norm * lambda_top * e_top
-        nominal = 1.5 * lambda_top
-        report.update(
-            gap_bound=gap_bound,
-            gap_slack=gap_bound - lambda_1_mu,
-            gap_ok=bool(lambda_1_mu <= gap_bound + 1e-12),
-            e_top=e_top,
-            radius_lower_recomputed=recomputed,
-            radius_recomputed_ok=bool(lambda_top_mu + 1e-12 >= recomputed),
-            radius_lower_nominal=nominal,
-            radius_nominal_ok=bool(lambda_top_mu + 1e-12 >= nominal),
-        )
-    return report
-
-
-def four_ring_showcase() -> dict:
-    """Spectra of the 4-ring before and after the symmetry-breaking potential.
-
-    The plain ring has a repeated eigenvalue; weighting one node by 3
-    splits it, leaving all nonzero eigenvalues simple.
-    """
-    from .be import build_be
-    from .graphs import ring_graph
-
-    g = ring_graph(4)
-    base = eig_sym(laplacian(g)).eigenvalues
-    mu = np.array([1.0, 1.0, 3.0, 1.0])
-    weighted = eig_sym(build_be(g, mu).operator()).eigenvalues
-    return {
-        "spectrum": base.tolist(),
-        "spectrum_mu": weighted.tolist(),
-        "expected": [0.0, 2.0, 2.0, 4.0],
-        "expected_mu": [0.0, (9 - np.sqrt(17)) / 2, 3.0, (9 + np.sqrt(17)) / 2],
-    }

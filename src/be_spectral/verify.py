@@ -1,15 +1,17 @@
 """Numerical verification suites behind ``be-spectral verify``.
 
-Each suite returns a JSON-ready report with one entry per check:
-``algebra`` exercises the exact operator identities, ``factorization``
-the Rayleigh-quotient factorization, ``star-bounds`` the star-graph
-spectral-control inequalities, ``gradcheck`` end-to-end derivatives
+This module is the one home of the paper's identities. Each suite returns
+a JSON-ready report with one entry per check: ``algebra`` exercises the
+exact operator identities and the 4-ring spectra, ``factorization`` the
+Rayleigh-quotient factorization, ``star-bounds`` the star-graph
+spectral-control inequalities, ``chebyshev`` the Chebyshev recurrence
+against the eigenbasis oracle, ``gradcheck`` end-to-end derivatives
 against central finite differences, and ``stability`` the antisymmetric
 stable update versus an unstabilized deep network.
 
-Acceptance criteria 1-4, 6 and 7 assert on these reports, so each suite
-fixes the criterion's seed, samples and cases; only the star sizes
-(``ns``, set by ``verify --n``) can be chosen.
+Acceptance criteria 1-7 assert on these reports, so each suite fixes the
+criterion's seed, samples and cases; only the star sizes (``ns``, set by
+``verify --n``) can be chosen.
 """
 from __future__ import annotations
 
@@ -17,10 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .be import advection_decomposition, build_be
-from .graphs import Graph, barbell_graph, endpoint_sums, grad, laplacian, ring_graph
+from .chebyshev import ChebFilter, cheb_apply, cheb_spectral_oracle
+from .errors import ZeroSignal
+from .graphs import (Graph, barbell_graph, endpoint_sums, grad, laplacian, ring_graph,
+                     star_graph)
 from .models import ModelConfig, MuChebNet, context_for, mse_loss
-from .spectral import eig_sym, four_ring_showcase, rayleigh_factorization_check, \
-    star_spectral_check
+from .spectral import eig_sym, rayleigh, variation_profile
 from .tasks import erdos_renyi, is_connected
 
 
@@ -78,8 +82,8 @@ def suite_algebra() -> dict:
         g = random_graph(rng)
         mu = rng.uniform(0.05, 3.0, g.n)
         be = build_be(g, mu)
-        l_mu = be.matrix()
-        reduction_exact &= np.array_equal(build_be(g, np.ones(g.n)).matrix(),
+        l_mu = be.operator().dense()
+        reduction_exact &= np.array_equal(build_be(g, np.ones(g.n)).operator().dense(),
                                           laplacian(g).dense())
 
         f, h = rng.standard_normal((2, g.n))
@@ -99,11 +103,14 @@ def suite_algebra() -> dict:
         max_reconstruct = max(max_reconstruct, np.abs(diffusion - advection - ref).max()
                               / max(np.abs(ref).max(), 1e-300))
 
-    ring = four_ring_showcase()
-    spec_err = max(np.abs(np.array(ring["spectrum"]) - ring["expected"]).max(),
-                   np.abs(np.array(ring["spectrum_mu"]) - ring["expected_mu"]).max())
-    nonzero = np.array(ring["spectrum_mu"])[1:]
-    simple = float(np.diff(nonzero).min())
+    # weighting one node of the 4-ring by 3 splits its repeated eigenvalue 2
+    ring = ring_graph(4)
+    spectrum = eig_sym(laplacian(ring)).eigenvalues
+    spectrum_mu = eig_sym(build_be(ring, np.array([1.0, 1.0, 3.0, 1.0])).operator()).eigenvalues
+    spec_err = max(np.abs(spectrum - [0.0, 2.0, 2.0, 4.0]).max(),
+                   np.abs(spectrum_mu - [0.0, (9 - np.sqrt(17)) / 2, 3.0,
+                                         (9 + np.sqrt(17)) / 2]).max())
+    simple = float(np.diff(spectrum_mu[1:]).min())
 
     return _finish("algebra", [
         _check("mu-one-reduction-exact", reduction_exact),
@@ -115,6 +122,24 @@ def suite_algebra() -> dict:
         _check("four-ring-spectra", spec_err <= 1e-9, max_abs_err=spec_err),
         _check("four-ring-simple-eigenvalues", simple > 1e-6, min_gap=simple),
     ])
+
+
+def rayleigh_factorization_check(g: Graph, mu: np.ndarray, f: np.ndarray):
+    """Evaluate both sides of R_mu(f) = ||mu||_1 * (mu_hat . p_f) * R(f).
+
+    The left side uses the potential-weighted operator directly, the right
+    side only the variation profile and the unweighted Rayleigh quotient.
+    Returns (lhs, rhs); they agree to ~1e-10 relative for any nonconstant f.
+    """
+    mu = np.asarray(mu, dtype=np.float64)
+    prof = variation_profile(g, f)
+    if prof.zero_variation:
+        raise ZeroSignal("factorization check needs a nonconstant signal")
+    lhs = rayleigh(build_be(g, mu).operator(), f)
+    mu_total = float(np.abs(mu).sum())
+    mu_hat = mu / mu_total
+    rhs = mu_total * float(mu_hat @ prof.p_f) * rayleigh(laplacian(g), f)
+    return lhs, rhs
 
 
 def suite_factorization() -> dict:
@@ -131,29 +156,79 @@ def suite_factorization() -> dict:
 
 
 def suite_star_bounds(ns=(5, 6, 10, 50)) -> dict:
+    """How two prescribed potentials move the spectrum of the n-node star.
+
+    A unit-mass potential that zeroes leaves 1 and 2 must keep
+    lambda_1^mu <= ||mu||_1 lambda_1 / (2(n-2)), with equality at n = 6. A
+    mass-2 potential (center 1/2, leaves 1 and 2 zero, the rest lifted) must
+    halve the gap, lambda_1^mu <= lambda_1 / 2, and lift the radius to at
+    least ||mu||_1 lambda_{n-1} E_muhat[p_g], g the top eigenvector of L.
+    The nominal factor-3/2 radius bound is reported, not asserted: it
+    contradicts the Gershgorin row bound at small n. ``ValueError`` for
+    n < 5.
+    """
     checks = []
     soft = set()
     for n in ns:
-        gap = star_spectral_check(n, "gap")
-        checks.append(_check(f"gap-bound-n{n}", gap["gap_ok"],
-                             measured=gap["lambda_1_mu"], bound=gap["gap_bound"],
-                             slack=gap["gap_slack"]))
+        if n < 5:
+            raise ValueError(f"star spectral checks need n >= 5, got {n}")
+        g = star_graph(n)
+        lam = eig_sym(laplacian(g)).eigenvalues
+        lambda_1, lambda_top = float(lam[1]), float(lam[-1])
+
+        mu = np.full(n, 1.0 / (n - 2))
+        mu[1] = mu[2] = 0.0
+        measured = float(eig_sym(build_be(g, mu).operator()).eigenvalues[1])
+        bound = lambda_1 / (2.0 * (n - 2))
+        checks.append(_check(f"gap-bound-n{n}", measured <= bound + 1e-12,
+                             measured=measured, bound=bound, slack=bound - measured))
         if n == 6:
-            eq_err = abs(gap["lambda_1_mu"] - 0.125)
+            eq_err = abs(measured - 0.125)
             checks.append(_check("gap-equality-n6", eq_err <= 1e-9, error=eq_err))
-        both = star_spectral_check(n, "gap-radius")
-        checks.append(_check(f"gap-half-n{n}", both["gap_ok"],
-                             measured=both["lambda_1_mu"], bound=both["gap_bound"]))
+
+        mu_hat = np.full(n, 0.5 / (n - 1) + 1.0 / ((n - 1) * (n - 3)))
+        mu_hat[0] = 0.5
+        mu_hat[1] = mu_hat[2] = 0.0
+        lam_mu = eig_sym(build_be(g, 2.0 * mu_hat).operator()).eigenvalues
+        lambda_1_mu, lambda_top_mu = float(lam_mu[1]), float(lam_mu[-1])
+        gap_bound = 0.5 * lambda_1
+        checks.append(_check(f"gap-half-n{n}", lambda_1_mu <= gap_bound + 1e-12,
+                             measured=lambda_1_mu, bound=gap_bound))
+        top = np.full(n, -1.0 / np.sqrt(n * (n - 1)))
+        top[0] = np.sqrt((n - 1) / n)
+        recomputed = 2.0 * lambda_top * float(mu_hat @ variation_profile(g, top).p_f)
         checks.append(_check(f"radius-recomputed-lower-n{n}",
-                             both["radius_recomputed_ok"],
-                             measured=both["lambda_top_mu"],
-                             bound=both["radius_lower_recomputed"]))
+                             lambda_top_mu + 1e-12 >= recomputed,
+                             measured=lambda_top_mu, bound=recomputed))
+        nominal = 1.5 * lambda_top
         name = f"radius-nominal-lower-n{n}"
-        soft.add(name)  # reported, not asserted: the nominal factor overshoots
-        checks.append(_check(name, both["radius_nominal_ok"],
-                             measured=both["lambda_top_mu"],
-                             bound=both["radius_lower_nominal"]))
+        soft.add(name)
+        checks.append(_check(name, lambda_top_mu + 1e-12 >= nominal,
+                             measured=lambda_top_mu, bound=nominal))
     return _finish("star-bounds", checks, soft=soft)
+
+
+def suite_chebyshev() -> dict:
+    """The Chebyshev recurrence against the eigenbasis oracle, n <= 64, K <= 12.
+
+    Relative error is scaled by max(|oracle|, 1) over 3 channels, on both
+    L and L_mu of random graphs, with lambda_max 1% above the top eigenvalue.
+    """
+    rng = np.random.default_rng(75)
+    worst = 0.0
+    for n in (8, 21, 33, 48, 64):
+        g = random_graph(rng, n_min=n, n_max=n)
+        mu = rng.uniform(0.1, 2.0, g.n)
+        for op in (laplacian(g), build_be(g, mu).operator()):
+            lam = 1.01 * eig_sym(op).eigenvalues[-1]
+            for K in (0, 1, 5, 12):
+                filt = ChebFilter(list(rng.standard_normal(K + 1)), lambda_max=lam)
+                x = rng.standard_normal((g.n, 3))
+                y = cheb_apply(filt, op, x)
+                ref = cheb_spectral_oracle(filt, op, x)
+                worst = max(worst, np.abs(y - ref).max() / max(np.abs(ref).max(), 1.0))
+    return _finish("chebyshev", [_check("recurrence-vs-oracle", worst <= 1e-9,
+                                        max_rel_err=worst)])
 
 
 def suite_gradcheck() -> dict:
@@ -250,6 +325,7 @@ SUITES = {
     "algebra": suite_algebra,
     "factorization": suite_factorization,
     "star-bounds": suite_star_bounds,
+    "chebyshev": suite_chebyshev,
     "gradcheck": suite_gradcheck,
     "stability": suite_stability,
 }

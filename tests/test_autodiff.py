@@ -9,7 +9,7 @@ import be_spectral.autodiff as ad
 from be_spectral.chebyshev import cheb_basis
 from be_spectral.errors import NaNLoss
 from be_spectral.be import advection_decomposition, build_be
-from be_spectral.graphs import build_graph, grad_adjoint, ring_graph
+from be_spectral.graphs import build_graph, ring_graph
 from be_spectral.spectral import variation_profile
 from be_spectral.verify import gradcheck_error, numeric_gradient
 
@@ -209,13 +209,6 @@ class TestScatterMatchesAddAt:
         np.add.at(ref, ei, vi)
         np.add.at(ref, ej, vj)
         return ref
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("shape", [(), (3,)])
-    def test_grad_adjoint(self, seed, shape):
-        rng, g, ei, ej = self.graph(seed)
-        F = rng.standard_normal((g.m,) + shape)
-        npt.assert_array_equal(grad_adjoint(g, F), self.add_at(g.n, ei, -F, ej, F))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_build_be_degrees(self, seed):

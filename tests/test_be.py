@@ -6,9 +6,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import (advection_decomposition, build_be, eig_sym,
-                         floor_potential, heat_flow, laplacian, normalized_be,
-                         ring_graph, star_graph, SymOperator)
+from be_spectral import (advection_decomposition, build_be, eig_sym, heat_flow,
+                         laplacian, normalized_be, ring_graph, star_graph, SymOperator)
 from be_spectral import be as be_mod
 from be_spectral.be import (HEAT_COEFF_TOL, MAX_EULER_STEPS, MAX_HEAT_TERMS, BEOperator,
                             heat_term_budget, scaled_bessel_i)
@@ -40,7 +39,7 @@ class TestBuildBE:
         rng = np.random.default_rng(0)
         for _ in range(10):
             g = random_graph(rng)
-            npt.assert_array_equal(build_be(g, np.ones(g.n)).matrix(),
+            npt.assert_array_equal(build_be(g, np.ones(g.n)).operator().dense(),
                                    laplacian(g).dense())
 
     def test_star_downweighted_gap(self):
@@ -71,7 +70,7 @@ class TestBuildBE:
             g = random_graph(rng)
             mu = rng.uniform(0.05, 3.0, g.n)
             be = build_be(g, mu)
-            l_mu = be.matrix()
+            l_mu = be.operator().dense()
             f, h = rng.standard_normal((2, g.n))
             lhs = f @ l_mu @ h
             ei, ej = g.edges[:, 0], g.edges[:, 1]
@@ -89,7 +88,7 @@ class TestBuildBE:
         g = random_graph(rng)
         mu = rng.uniform(0.5, 2.0, g.n)
         be = build_be(g, mu)
-        a_mu = np.diag(be.degrees) - be.matrix()
+        a_mu = np.diag(be.degrees) - be.operator().dense()
         pattern = np.zeros((g.n, g.n), dtype=bool)
         pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
         assert ((a_mu != 0) == pattern).all()  # mu > 0 everywhere: equality
@@ -97,7 +96,7 @@ class TestBuildBE:
     def test_zero_potential_pair_drops_edge_but_pattern_subset(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         be = build_be(g, [0.0, 0.0, 1.0])
-        a_mu = np.diag(be.degrees) - be.matrix()
+        a_mu = np.diag(be.degrees) - be.operator().dense()
         assert a_mu[0, 1] == 0.0 and a_mu[1, 2] == 0.5
         pattern = np.zeros((3, 3), dtype=bool)
         pattern[g.edges[:, 0], g.edges[:, 1]] = pattern[g.edges[:, 1], g.edges[:, 0]] = True
@@ -107,11 +106,8 @@ class TestBuildBE:
         rng = np.random.default_rng(3)
         g = random_graph(rng)
         mu = rng.uniform(0.1, 2.0, g.n)
-        npt.assert_array_equal(build_be(g, 4.0 * mu).matrix(),
-                               4.0 * build_be(g, mu).matrix())
-
-    def test_floor_potential(self):
-        npt.assert_allclose(floor_potential([0.0, 0.5], 1e-4), [1e-4, 0.5])
+        npt.assert_array_equal(build_be(g, 4.0 * mu).operator().dense(),
+                               4.0 * build_be(g, mu).operator().dense())
 
 
 class TestAdvectionDecomposition:
@@ -137,7 +133,7 @@ class TestAdvectionDecomposition:
         e0 = np.zeros(4)
         e0[0] = 1.0
         diffusion, advection = advection_decomposition(be, e0)
-        npt.assert_allclose(diffusion - advection, be.matrix()[:, 0], atol=1e-12)
+        npt.assert_allclose(diffusion - advection, be.operator().dense()[:, 0], atol=1e-12)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -149,7 +145,7 @@ class TestAdvectionDecomposition:
             be = build_be(g, mu)
             f = rng.standard_normal(g.n)
             diffusion, advection = advection_decomposition(be, f)
-            ref = be.matvec(f)
+            ref = be.operator().matvec(f)
             scale = max(np.abs(ref).max(), 1e-12)
             assert np.abs(diffusion - advection - ref).max() <= 1e-12 * scale
 
@@ -177,10 +173,9 @@ class TestNormalized:
     def test_isolated_node_under_mu(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         be = build_be(g, [0.0, 0.0, 1.0])  # node 0's only edge gets weight 0
-        with pytest.raises(IsolatedNodeUnderMu, match="floor_potential"):
+        with pytest.raises(IsolatedNodeUnderMu, match="node 0 is zero"):
             normalized_be(be)
-        floored = build_be(g, floor_potential([0.0, 0.0, 1.0]))
-        normalized_be(floored)  # no raise
+        normalized_be(build_be(g, [1e-4, 1e-4, 1.0]))  # no raise
 
     def test_symmetric_above_dense_limit(self):
         be, rng = large_ring_be(14)
@@ -188,7 +183,7 @@ class TestNormalized:
         assert not op.is_dense
         r = 1.0 / np.sqrt(be.degrees)
         x = rng.standard_normal((be.graph.n, 2))
-        want = r[:, None] * be.matvec(r[:, None] * x)
+        want = r[:, None] * be.operator().matvec(r[:, None] * x)
         npt.assert_allclose(op.matvec(x), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
@@ -305,7 +300,7 @@ class TestHeatSeries:
 
     @staticmethod
     def eigh_reference(be, f0, t):
-        lam, u = np.linalg.eigh(be.matrix())
+        lam, u = np.linalg.eigh(be.operator().dense())
         decay = np.exp(-t * np.maximum(lam, 0.0))
         return u @ (decay.reshape(-1, *[1] * (f0.ndim - 1)) * (u.T @ f0))
 

@@ -764,7 +764,15 @@ class TestConfigAndCheckpointInputErrors:
         ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
         ({"name": "ring", "classes": 0}, "ring task classes 0 must be at least 1"),
         ({"name": "graph-property", "p": 0}, "graph-property task p 0.0 must be in (0, 1]"),
-    ], ids=["name", "key", "odd-barbell", "odd-ring", "property", "no-classes", "p-zero"])
+        ({"name": "barbell", "n": 12, "counts": [0, 2, 2]},
+         "barbell task counts [0, 2, 2]: the train and val splits need at least one"),
+        ({"name": "barbell", "n": 12, "counts": [4, 0, 2]},
+         "barbell task counts [4, 0, 2]: the train and val splits need at least one"),
+        ({"name": "graph-property", "counts": [0, 2, 2]},
+         "graph-property task counts [0, 2, 2]: the train and val splits"),
+        ({"name": "barbell", "n": 12, "counts": []}, "barbell task counts [] must be three"),
+    ], ids=["name", "key", "odd-barbell", "odd-ring", "property", "no-classes", "p-zero",
+            "no-train", "no-val", "property-no-train", "empty-counts"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_task_block_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                     command, task, named):
@@ -776,6 +784,30 @@ class TestConfigAndCheckpointInputErrors:
         if command == "eval":
             argv += ["--checkpoint", str(_checkpoint(tmp_path / "ckpt"))]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    @pytest.mark.parametrize("model, named", [
+        ({"hidden": 0}, "model hidden 0 must be an integer >= 1"),
+        ({"K": 2.5}, "model K 2.5 must be an integer >= 0"),
+        ({"layers": True}, "model layers True must be an integer >= 1"),
+        ({"gamma": -0.5}, "model gamma -0.5 must be a finite number >= 0"),
+        ({"eps": float("inf")}, "model eps inf must be a finite number >= 0"),
+        ({"mu": {"hidden": 0}}, "model.mu hidden 0 must be an integer >= 1"),
+        ({"mu": {"layers": -2}}, "model.mu layers -2 must be an integer >= 0"),
+        ({"mu": {"eps_floor": -5}}, "model.mu eps_floor -5 must be a finite number > 0"),
+        ({"out_dim": 7}, "model keys out_dim: the task sets them"),
+        ({"readout": "graph", "out_dim": 7}, "model keys out_dim, readout: the task sets"),
+    ], ids=["hidden-zero", "K-float", "layers-bool", "gamma-negative", "eps-infinite",
+            "mu-hidden-zero", "mu-layers-negative", "mu-floor-negative", "out-dim",
+            "readout-and-out-dim"])
+    def test_bad_model_value_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
+                                                     model, named):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY_RUN, "model": {**TINY_RUN["model"], **model}}))
+        assert main(["train", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
 

@@ -7,11 +7,8 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from be_spectral import (build_graph, dirichlet_form, divergence,
-                         grad, grad_adjoint, laplacian, ring_graph, star_graph,
-                         barbell_graph)
+from be_spectral import build_graph, grad, laplacian, ring_graph, star_graph, barbell_graph
 import be_spectral
-from be_spectral.graphs import _check_edge_signal
 
 
 def edge_sets(max_n=12):
@@ -110,7 +107,7 @@ class TestDegreeMatrix:
         npt.assert_array_equal(g.degrees, [1, 1])
 
 
-class TestGradDivergence:
+class TestGrad:
     def test_gradient_of_constant_is_zero(self):
         g = ring_graph(6)
         npt.assert_array_equal(grad(g, np.full(6, 3.7)), np.zeros(6))
@@ -128,48 +125,6 @@ class TestGradDivergence:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
             grad(ring_graph(4), np.zeros(5))
-        with pytest.raises(ValueError, match="length"):
-            divergence(ring_graph(4), np.zeros(3))
-        with pytest.raises(ValueError, match="non-finite"):
-            _check_edge_signal(ring_graph(4), np.array([np.nan, 0, 0, 0]))
-
-    def test_zero_edge_signal(self):
-        g = star_graph(5)
-        npt.assert_array_equal(divergence(g, np.zeros(g.m)), np.zeros(5))
-
-    def test_divergence_of_gradient_is_minus_two_laplacian(self):
-        rng = np.random.default_rng(42)
-        for _ in range(20):
-            n = int(rng.integers(3, 25))
-            iu, ju = np.triu_indices(n, k=1)
-            keep = rng.random(iu.size) < 0.4
-            if not keep.any():
-                continue
-            g = build_graph(n, np.stack([iu[keep], ju[keep]], axis=1))
-            f = rng.standard_normal(n)
-            npt.assert_allclose(divergence(g, grad(g, f)),
-                                -2.0 * laplacian(g).matvec(f),
-                                rtol=0, atol=1e-12 * max(1, np.abs(f).max()))
-
-    def test_adjoint_identity_single_edge(self):
-        g = build_graph(2, [(0, 1)])
-        rng = np.random.default_rng(0)
-        f = rng.standard_normal(2)
-        F = np.array([1.0])
-        assert abs(grad(g, f) @ F - f @ grad_adjoint(g, F)) < 1e-15
-
-    @given(edge_sets(), st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_adjoint_identity_random(self, case, seed):
-        n, edges = case
-        g = build_graph(n, edges)
-        rng = np.random.default_rng(seed)
-        f = rng.standard_normal(g.n)
-        F = rng.standard_normal(g.m)
-        lhs = float(grad(g, f) @ F)
-        rhs = float(f @ grad_adjoint(g, F))
-        scale = max(abs(lhs), abs(rhs), 1.0)
-        assert abs(lhs - rhs) <= 1e-12 * scale
 
 
 class TestLaplacian:
@@ -195,35 +150,6 @@ class TestLaplacian:
         g = barbell_graph(5, 3)
         l = laplacian(g).dense()
         npt.assert_array_equal(l.sum(axis=1), np.zeros(g.n))
-
-
-class TestDirichletForm:
-    def test_constant_vanishes(self):
-        g = ring_graph(5)
-        assert dirichlet_form(g, np.ones(5), np.ones(5)) == 0.0
-
-    def test_single_edge_half(self):
-        g = build_graph(2, [(0, 1)])
-        f = np.array([0.0, 1.0])
-        assert dirichlet_form(g, f, f) == 0.5
-
-    def test_matches_matrix_oracle_and_symmetry(self):
-        rng = np.random.default_rng(3)
-        g = barbell_graph(4, 2)
-        l = laplacian(g).dense()
-        for _ in range(10):
-            f, h = rng.standard_normal((2, g.n))
-            direct = dirichlet_form(g, f, h)
-            oracle = 0.5 * f @ l @ h
-            assert abs(direct - oracle) <= 1e-12 * max(1, abs(oracle))
-            assert abs(direct - dirichlet_form(g, h, f)) <= 1e-12
-
-    def test_quadratic_form_nonnegative(self):
-        rng = np.random.default_rng(4)
-        g = star_graph(7)
-        for _ in range(25):
-            f = rng.standard_normal(7)
-            assert dirichlet_form(g, f, f) >= 0.0
 
 
 class TestMemoizedConstructors:

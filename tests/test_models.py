@@ -180,7 +180,8 @@ class TestLambdaMaxHandling:
               ad.backward(tape1, mse_loss(pred1, y, np.ones(8, bool))).items()}
 
         # reproduce the internal value for the induced operator
-        lam = LAMBDA_MAX_SLACK * np.linalg.eigvalsh(build_be(g, mu1.data).matrix())[-1]
+        l_mu = build_be(g, mu1.data).operator().dense()
+        lam = LAMBDA_MAX_SLACK * np.linalg.eigvalsh(l_mu)[-1]
         tape2 = ad.Tape()
         pred2, _ = model.forward(tape2, context_for(g), x, lambda_max=lam)
         g2 = {t.name: v for t, v in
@@ -328,6 +329,13 @@ class TestConfigSerialization:
             ModelConfig(readout="bogus")
         with pytest.raises(ValueError, match="layer"):
             ModelConfig(layers=0)
+        with pytest.raises(ValueError, match="model out_dim 0 must be an integer >= 1"):
+            ModelConfig(out_dim=0)
+        with pytest.raises(ValueError, match="model gamma nan must be a finite number"):
+            ModelConfig(gamma=float("nan"))
+        with pytest.raises(ValueError, match="model.mu eps_floor 0.0 must be a finite number > 0"):
+            MuConfig(eps_floor=0.0)
+        MuConfig(layers=0)  # the potential head reads the input features directly
 
 
 class TestLoadParams:

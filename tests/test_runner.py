@@ -155,7 +155,7 @@ class TestTrainRun:
         ({"model": {"layrs": 1}}, "unknown model keys: layrs"),
         ({"model": {"mu": {"hiden": 4}}}, "unknown model.mu keys: hiden"),
         ({"model": {"mu": True}}, "model.mu must be a JSON object, got bool"),
-        ({"model": {"K": -1}}, "K >= 0"),
+        ({"model": {"K": -1}}, "model K -1 must be an integer >= 0"),
     ], ids=["run-key", "model-key", "mu-key", "mu-not-object", "model-value"])
     def test_config_rejected_as_it_loads(self, overrides, message):
         with pytest.raises(ValueError, match=message):

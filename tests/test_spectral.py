@@ -12,12 +12,11 @@ import numpy.testing as npt
 import pytest
 
 from be_spectral import (SymOperator, build_be, build_graph, eig_sym, lambda_max_power,
-                         laplacian, rayleigh, rayleigh_factorization_check,
-                         ring_graph, star_graph, star_spectral_check,
-                         variation_profile, four_ring_showcase)
+                         laplacian, rayleigh, ring_graph, star_graph, variation_profile)
 from be_spectral.errors import ZeroSignal
 from be_spectral.operators import DENSE_LIMIT
-from be_spectral.verify import random_graph
+from be_spectral.verify import (random_graph, rayleigh_factorization_check, suite_algebra,
+                                suite_star_bounds)
 
 
 def random_symmetric(rng, n):
@@ -353,28 +352,29 @@ class TestFactorizationIdentity:
 
 
 class TestSpectralControlOnStars:
-    def test_gap_bound_and_equality(self):
-        for n in (5, 6, 10, 50):
-            rep = star_spectral_check(n, "gap")
-            assert rep["gap_ok"], rep
-            assert rep["gap_slack"] >= -1e-12
-        rep6 = star_spectral_check(6, "gap")
-        assert abs(rep6["lambda_1_mu"] - 0.125) <= 1e-9
+    @pytest.fixture(scope="class")
+    def checks(self):
+        report = suite_star_bounds()
+        assert report["passed"], report["hard_failures"]
+        return {c["name"]: c for c in report["checks"]}
 
-    def test_gap_radius_pair(self):
+    def test_gap_bound_and_equality(self, checks):
         for n in (5, 6, 10, 50):
-            rep = star_spectral_check(n, "gap-radius")
-            assert rep["gap_ok"], rep
-            assert rep["radius_recomputed_ok"], rep
+            assert checks[f"gap-bound-n{n}"]["passed"], checks[f"gap-bound-n{n}"]
+            assert checks[f"gap-bound-n{n}"]["slack"] >= -1e-12
+        assert abs(checks["gap-bound-n6"]["measured"] - 0.125) <= 1e-9
+
+    def test_gap_radius_pair(self, checks):
+        for n in (5, 6, 10, 50):
+            assert checks[f"gap-half-n{n}"]["passed"], checks[f"gap-half-n{n}"]
+            assert checks[f"radius-recomputed-lower-n{n}"]["passed"]
             # the nominal 3/2 factor contradicts the Gershgorin row bound
             # at small n; it is reported, not asserted
-            assert "radius_nominal_ok" in rep
+            assert f"radius-nominal-lower-n{n}" in checks
 
     def test_bad_n(self):
         with pytest.raises(ValueError, match="n >= 5"):
-            star_spectral_check(4, "gap")
-        with pytest.raises(ValueError, match="unknown"):
-            star_spectral_check(6, "nope")
+            suite_star_bounds(ns=(4,))
 
 
 class TestSpectrumScalingLaws:
@@ -400,8 +400,8 @@ class TestSpectrumScalingLaws:
             g = random_graph(rng)
             mu = rng.uniform(0.1, 2.0, g.n)
             c = 2.0  # power of two: exact float scaling
-            m1 = build_be(g, mu).matrix()
-            m2 = build_be(g, c * mu).matrix()
+            m1 = build_be(g, mu).operator().dense()
+            m2 = build_be(g, c * mu).operator().dense()
             npt.assert_array_equal(c * m1, m2)
             v1 = eig_sym(SymOperator.from_dense(m1)).eigenvalues
             v2 = eig_sym(SymOperator.from_dense(m2)).eigenvalues
@@ -419,7 +419,7 @@ class TestSpectrumScalingLaws:
             g = random_graph(rng, n_min=6, n_max=14, connected=True)
             mu = rng.uniform(0.2, 2.0, g.n)
             base = eig_sym(laplacian(g), vectors=True)
-            l_mu = build_be(g, mu).matrix()
+            l_mu = build_be(g, mu).operator().dense()
             weighted = eig_sym(SymOperator.from_dense(l_mu))
             k = int(rng.integers(1, g.n))
             lam_k_mu = weighted.eigenvalues[k]
@@ -447,6 +447,6 @@ class TestSpectrumScalingLaws:
                 assert value <= upper + tol
 
     def test_four_ring_symmetry_breaking(self):
-        rep = four_ring_showcase()
-        vals = np.array(rep["spectrum_mu"])
-        assert np.diff(vals[1:]).min() > 0.5  # all nonzero eigenvalues simple
+        checks = {c["name"]: c for c in suite_algebra()["checks"]}
+        # all nonzero eigenvalues simple
+        assert checks["four-ring-simple-eigenvalues"]["min_gap"] > 0.5
