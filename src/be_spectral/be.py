@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HeatSeriesTooLong, IsolatedNodeUnderMu, UnstableStep
+from .errors import HeatSeriesTooLong, IsolatedNodeUnderMu
 from .graphs import Graph, _check_node_signal, endpoint_sums, grad, laplacian
 from .operators import DENSE_LIMIT, SymOperator
 
@@ -159,9 +159,6 @@ def heat_term_budget(n: int) -> float:
 #: no heat series takes more Miller orders than this, at any size
 MAX_HEAT_TERMS = heat_term_budget(DENSE_LIMIT)
 
-#: no explicit Euler integration takes more steps than this
-MAX_EULER_STEPS = 10**6
-
 
 def scaled_bessel_i(a: float) -> np.ndarray:
     """e^{-a} I_k(a) for k = 0, 1, ..., up to the last term >= ``HEAT_COEFF_TOL``.
@@ -215,65 +212,35 @@ def _heat_eig(be: BEOperator, f0: np.ndarray, t: float, lam: float) -> np.ndarra
     return u @ (decay[:, None] * (u.T @ f0)) if f0.ndim > 1 else u @ (decay * (u.T @ f0))
 
 
-def heat_flow(be: BEOperator, f0: np.ndarray, t: float, scheme: str = "spectral",
-              dt: float | None = None) -> np.ndarray:
-    """Evolve df/dt = -L_mu f from f0 for time t >= 0.
+def heat_flow(be: BEOperator, f0: np.ndarray, t: float) -> np.ndarray:
+    """exp(-t L_mu) f0: df/dt = -L_mu f evolved from f0 for time t >= 0.
 
-    ``spectral`` is exact up to rounding: one Chebyshev filter on
-    [0, lam], lam = 2 max(degrees) (Gershgorin, so no matvec is spent on
-    it), with coefficients c_0 = e^{-a} I_0(a) and c_k = 2 (-1)^k e^{-a}
-    I_k(a), a = t lam / 2 (module docstring), run on the edge-list operator
-    by ``chebyshev.cheb_apply`` at any size. It takes about 9 sqrt(a)
-    matvecs; its polynomial is 1 at lambda = 0, so mass is conserved by
+    Exact up to rounding: one Chebyshev filter on [0, lam], lam = 2
+    max(degrees) (Gershgorin, so no matvec is spent on it), with
+    coefficients c_0 = e^{-a} I_0(a) and c_k = 2 (-1)^k e^{-a} I_k(a),
+    a = t lam / 2 (module docstring), run on the edge-list operator by
+    ``chebyshev.cheb_apply`` at any size. It takes about 9 sqrt(a) matvecs;
+    its polynomial is 1 at lambda = 0, so total mass sum(f) is conserved by
     construction. Where the series would start past ``heat_term_budget(n)``
     orders, one dense eigendecomposition is cheaper and gives the flow
-    instead (eigenvalues within rounding of zero count as zero, so the
-    mass is kept at any t); above ``DENSE_LIMIT`` nodes such a t raises
-    ``HeatSeriesTooLong``.
-    ``euler`` takes explicit steps of size ``dt``, which must satisfy
-    dt < 2 / lambda_max(L_mu); lambda_max is the Lanczos estimate padded by
-    ``LAMBDA_MAX_SLACK``, because a Ritz value never overestimates; more
-    than ``MAX_EULER_STEPS`` steps raise ``HeatSeriesTooLong`` before any
-    work. Total mass sum(f) is conserved by both. ``f0`` is (n,) or (n, c).
+    instead (eigenvalues within rounding of zero count as zero, so the mass
+    is kept at any t); above ``DENSE_LIMIT`` nodes such a t raises
+    ``HeatSeriesTooLong``. ``f0`` is (n,) or (n, c).
     """
-    from .chebyshev import LAMBDA_MAX_SLACK
-    from .spectral import lambda_max_power
-
     f0 = _check_node_signal(be.graph, f0)
     if not 0.0 <= t < np.inf:
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     if t == 0.0:
         return f0.copy()
-    if scheme == "spectral":
-        lam = 2.0 * float(be.degrees.max())
-        if lam == 0.0:  # no edge weight: L_mu = 0
-            return f0.copy()
-        n, orders = be.graph.n, _miller_start(0.5 * t * lam)
-        if orders <= heat_term_budget(n):
-            return _heat_series(be, f0, t, lam)
-        if n > DENSE_LIMIT:
-            raise HeatSeriesTooLong(
-                f"t = {t:g} needs about {orders:.3g} Chebyshev terms on this graph "
-                f"(lam = {lam:g}), more than the {MAX_HEAT_TERMS:.0f} run above "
-                f"n = {DENSE_LIMIT}")
-        return _heat_eig(be, f0, t, lam)
-    if scheme == "euler":
-        if dt is None or not dt > 0.0:  # NaN fails this too
-            raise ValueError("euler scheme needs a positive dt")
-        if t / dt > MAX_EULER_STEPS:
-            raise HeatSeriesTooLong(f"t = {t:g} needs {t / dt:.3g} Euler steps of dt = "
-                                    f"{dt:g}, more than {MAX_EULER_STEPS}")
-        op = be.operator()
-        lam_max = LAMBDA_MAX_SLACK * lambda_max_power(op)
-        if lam_max > 0.0 and dt >= 2.0 / lam_max:
-            raise UnstableStep(
-                f"dt = {dt} violates dt < 2/lambda_max = {2.0 / lam_max:.6g}"
-            )
-        f = f0.copy()
-        steps, rem = divmod(t, dt)
-        for _ in range(int(steps)):
-            f = f - dt * op.matvec(f)
-        if rem > 1e-15 * t:
-            f = f - rem * op.matvec(f)
-        return f
-    raise ValueError(f"unknown scheme {scheme!r}")
+    lam = 2.0 * float(be.degrees.max())
+    if lam == 0.0:  # no edge weight: L_mu = 0
+        return f0.copy()
+    n, orders = be.graph.n, _miller_start(0.5 * t * lam)
+    if orders <= heat_term_budget(n):
+        return _heat_series(be, f0, t, lam)
+    if n > DENSE_LIMIT:
+        raise HeatSeriesTooLong(
+            f"t = {t:g} needs about {orders:.3g} Chebyshev terms on this graph "
+            f"(lam = {lam:g}), more than the {MAX_HEAT_TERMS:.0f} run above "
+            f"n = {DENSE_LIMIT}")
+    return _heat_eig(be, f0, t, lam)

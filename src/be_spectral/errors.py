@@ -14,12 +14,9 @@ class IsolatedNodeUnderMu(ValueError):
     """Some weighted degree is zero; the caller must floor the potential."""
 
 
-class UnstableStep(ValueError):
-    """Explicit Euler step size violates the stability bound dt < 2/lambda_max."""
-
-
 class HeatSeriesTooLong(ValueError):
-    """Heat flow to this time needs more series terms or Euler steps than are run."""
+    """Heat flow to this time needs more Chebyshev terms than are run above the
+    dense limit, where no eigendecomposition can take their place."""
 
 
 class NaNLoss(RuntimeError):

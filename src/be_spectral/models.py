@@ -108,6 +108,8 @@ class ModelConfig:
             raise ValueError(f"unknown operator {self.operator!r}")
         if self.readout not in ("node", "graph"):
             raise ValueError(f"unknown readout {self.readout!r}")
+        if not isinstance(self.stable, bool):
+            raise ValueError(f"model stable {self.stable!r} must be true or false")
         for key, low in (("layers", 1), ("K", 0), ("hidden", 1), ("out_dim", 1)):
             check_int("model", key, getattr(self, key), low)
         for key in ("gamma", "eps"):

@@ -1,6 +1,6 @@
 """Training / evaluation harness: datasets, runs, records.
 
-A run is fully described by a :class:`RunConfig`, whose model and task
+A run is fully described by a :class:`RunConfig`, whose model, optim and task
 blocks are checked as it loads (:func:`task_spec` parses the task block
 once for that check and for :func:`build_dataset`); re-running the same
 config and seed on one platform reproduces every metric bit for bit
@@ -27,11 +27,33 @@ import numpy as np
 from . import autodiff as ad
 from .errors import NaNLoss
 from .fileio import save_checkpoint, write_csv_matrix
-from .models import (ModelConfig, MuChebNet, accuracy, check_int, config_from_dict,
-                     context_for, cross_entropy_loss, is_int, log10_mse, mse_loss)
+from .models import (ModelConfig, MuChebNet, accuracy, check_int, check_real,
+                     config_from_dict, context_for, cross_entropy_loss, is_int, log10_mse,
+                     mse_loss)
 from .graphs import barbell_graph
 from .tasks import (GRAPH_MODELS, PROPERTY_TASKS, TaskInstance, gen_barbell,
                     gen_graph_property, gen_ring_routing, ring_routing_graph)
+
+
+@dataclass
+class OptimConfig:
+    """The run-config ``optim`` block: Adam's step size, moment decays and
+    weight decay (``autodiff.adam_step``)."""
+
+    lr: float = 1e-2
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    weight_decay: float = 0.0
+
+    def __post_init__(self):
+        for key in ("lr", "eps"):
+            check_real("optim", key, getattr(self, key), positive=True)
+        for key in ("beta1", "beta2", "weight_decay"):
+            check_real("optim", key, getattr(self, key))
+        for key in ("beta1", "beta2"):
+            if not getattr(self, key) < 1:
+                raise ValueError(f"optim {key} {getattr(self, key)!r} must be in [0, 1)")
 
 
 @dataclass
@@ -53,7 +75,11 @@ class RunConfig:
     def from_dict(cls, d: dict) -> "RunConfig":
         cfg = config_from_dict(cls, d, "run-config")
         cfg._check_loop()
-        ModelConfig.from_dict(cfg.model)  # bad model or task blocks fail before any data is made
+        if not (cfg.out is None or isinstance(cfg.out, str)):
+            raise ValueError(f"run-config out {cfg.out!r} must be null or a path string")
+        # bad model, optim or task blocks fail before any data is made
+        ModelConfig.from_dict(cfg.model)
+        config_from_dict(OptimConfig, cfg.optim, "optim")
         from_task = sorted({"out_dim", "readout"} & set(cfg.model))
         if from_task:
             raise ValueError(f"model keys {', '.join(from_task)}: the task sets them, "
@@ -338,14 +364,8 @@ def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
     """Train one seed; returns the run record (and writes it when outdir set)."""
     t0 = time.time()
     _keep_freed_memory()
-    opt = dict(config.optim)
-    lr = float(opt.pop("lr", 1e-2))
-    hyper = {"beta1": float(opt.pop("beta1", 0.9)),
-             "beta2": float(opt.pop("beta2", 0.999)),
-             "eps": float(opt.pop("eps", 1e-8)),
-             "weight_decay": float(opt.pop("weight_decay", 0.0))}
-    if opt:
-        raise ValueError(f"unknown optim keys: {', '.join(sorted(opt))}")
+    hyper = asdict(config_from_dict(OptimConfig, config.optim, "optim"))
+    lr = hyper.pop("lr")
     data = build_dataset(config.task)
     mcfg = ModelConfig.from_dict(config.model)
     mcfg.out_dim = data.out_dim

@@ -159,11 +159,12 @@ def barabasi_albert(n: int, m_attach: int, rng: np.random.Generator) -> Graph:
 #: the labels and random graph models ``gen_graph_property`` knows
 PROPERTY_TASKS = ("diameter", "sssp", "eccentricity")
 GRAPH_MODELS = ("erdos-renyi", "barabasi-albert")
+#: graphs drawn by ``gen_graph_property`` before it gives up on connectivity
+PROPERTY_DRAWS = 100
 
 
 def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi",
-                       p: float = 0.3, m_attach: int = 2,
-                       retries: int = 100) -> TaskInstance:
+                       p: float = 0.3, m_attach: int = 2) -> TaskInstance:
     """Connected random graph labeled by an exact BFS oracle.
 
     ``task``: ``diameter`` (graph-level max distance), ``sssp`` (per-node
@@ -177,7 +178,7 @@ def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi"
         raise ValueError(f"unknown graph model {model!r}")
     lo, hi = int(n_range[0]), int(n_range[-1])
     rng = _rng("graph-property", task, lo, hi, model, seed)
-    for _ in range(retries):
+    for _ in range(PROPERTY_DRAWS):
         n = int(rng.integers(lo, hi + 1))
         g = (erdos_renyi(n, p, rng) if model == "erdos-renyi"
              else barabasi_albert(n, m_attach, rng))
@@ -186,7 +187,7 @@ def gen_graph_property(task: str, n_range, seed: int, model: str = "erdos-renyi"
             break
     else:
         raise DisconnectedAfterRetries(
-            f"no connected {model} graph in {retries} draws (n in [{lo}, {hi}])")
+            f"no connected {model} graph in {PROPERTY_DRAWS} draws (n in [{lo}, {hi}])")
 
     feats = [np.ones((g.n, 1)), g.degrees.astype(np.float64)[:, None]]
     meta = {"task": task, "model": model, "seed": seed, "n": g.n}

@@ -9,9 +9,8 @@ import pytest
 from be_spectral import (advection_decomposition, build_be, eig_sym, heat_flow,
                          laplacian, normalized_be, ring_graph, star_graph, SymOperator)
 from be_spectral import be as be_mod
-from be_spectral.be import (HEAT_COEFF_TOL, MAX_EULER_STEPS, MAX_HEAT_TERMS, BEOperator,
-                            heat_term_budget, scaled_bessel_i)
-from be_spectral.errors import HeatSeriesTooLong, IsolatedNodeUnderMu, UnstableStep
+from be_spectral.be import HEAT_COEFF_TOL, MAX_HEAT_TERMS, heat_term_budget, scaled_bessel_i
+from be_spectral.errors import HeatSeriesTooLong, IsolatedNodeUnderMu
 from be_spectral.graphs import barbell_graph, build_graph
 from be_spectral.operators import DENSE_LIMIT
 from be_spectral.verify import random_graph
@@ -210,38 +209,6 @@ class TestHeatFlow:
         for t in (0.1, 1.0, 10.0):
             f = heat_flow(be, f0, t)
             assert abs(f.sum() - f0.sum()) <= 1e-9 * max(abs(f0.sum()), 1.0)
-        fe = heat_flow(be, f0, 0.5, scheme="euler", dt=1e-3)
-        assert abs(fe.sum() - f0.sum()) <= 1e-9 * max(abs(f0.sum()), 1.0)
-
-    def test_euler_mass_conservation_above_dense_limit(self):
-        be, rng = large_ring_be(15)
-        f0 = rng.standard_normal(be.graph.n) + 1.0
-        f = heat_flow(be, f0, 0.5, scheme="euler", dt=0.05)
-        assert abs(f.sum() - f0.sum()) <= 1e-9 * abs(f0.sum())
-        assert np.abs(f - f0).max() > 0.1
-        with pytest.raises(UnstableStep, match="lambda_max"):
-            heat_flow(be, f0, 0.5, scheme="euler", dt=0.5)
-
-    def test_euler_cross_validates_spectral(self):
-        # asymmetric potential on a ring, localized pulse: anisotropic spread
-        g = ring_graph(8)
-        mu = np.array([1.0, 1.0, 3.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        be = build_be(g, mu)
-        f0 = np.zeros(8)
-        f0[0] = 1.0
-        exact = heat_flow(be, f0, 1.0, scheme="spectral")
-        lam_max = eig_sym(be.operator()).eigenvalues[-1]
-        # forward-Euler error per mode ~ t * lam^2 * dt / 2 * e^{-lam t};
-        # derive the dt that brings the worst mode under 1e-6
-        lams = eig_sym(be.operator()).eigenvalues[1:]
-        worst = max(l * l * np.exp(-l) / 2 for l in lams)
-        dt_for_1e6 = 1e-6 / worst
-        assert dt_for_1e6 < 2 / lam_max
-        approx = heat_flow(be, f0, 1.0, scheme="euler", dt=dt_for_1e6)
-        assert np.abs(approx - exact).max() <= 1e-6
-        # the coarse step agrees at its own accuracy level
-        coarse = heat_flow(be, f0, 1.0, scheme="euler", dt=1e-3)
-        assert np.abs(coarse - exact).max() <= 1e-3
 
     def test_anisotropic_spread(self):
         # the pulse's two neighbors sit across edges of different weight:
@@ -254,31 +221,6 @@ class TestHeatFlow:
         f = heat_flow(be, f0, 0.05)
         assert f[2] > f[0]
 
-    def test_euler_step_count_bounded(self, monkeypatch):
-        be = build_be(ring_graph(6), np.ones(6))
-        # refused before the operator is built, so before any step or Lanczos
-        monkeypatch.setattr(BEOperator, "operator", lambda self: pytest.fail("work done"))
-        with pytest.raises(HeatSeriesTooLong, match=r"1e\+14 Euler steps of dt = 0.01"):
-            heat_flow(be, np.ones(6), 1e12, scheme="euler", dt=0.01)
-        with pytest.raises(HeatSeriesTooLong, match="Euler steps"):
-            heat_flow(be, np.ones(6), 1.0, scheme="euler", dt=1e-320)  # t / dt = inf
-        # the 1e-6-accurate cross-validation above takes about 268,507 steps
-        assert MAX_EULER_STEPS > 268_507
-
-    @pytest.mark.parametrize("dt", [None, 0.0, -0.1, np.nan])
-    def test_euler_needs_positive_dt(self, monkeypatch, dt):
-        # a NaN step once passed ``dt <= 0`` and died in int(nan) after Lanczos
-        be = build_be(ring_graph(6), np.ones(6))
-        monkeypatch.setattr(BEOperator, "operator", lambda self: pytest.fail("work done"))
-        with pytest.raises(ValueError, match="positive dt"):
-            heat_flow(be, np.ones(6), 1.0, scheme="euler", dt=dt)
-
-    def test_unstable_step_rejected(self):
-        g = ring_graph(4)
-        be = build_be(g, np.ones(4))
-        with pytest.raises(UnstableStep, match="lambda_max"):
-            heat_flow(be, np.ones(4), 1.0, scheme="euler", dt=0.6)
-
     def test_negative_time_rejected(self):
         be = build_be(ring_graph(4), np.ones(4))
         for t in (-1.0, np.inf, np.nan):  # the series needs a finite time
@@ -287,7 +229,7 @@ class TestHeatFlow:
 
 
 def only_path(monkeypatch, path):
-    """Make ``heat_flow(scheme="spectral")`` take ``path`` and fail on the other."""
+    """Make ``heat_flow`` take ``path`` and fail on the other."""
     other = {"series": "_heat_eig", "eig": "_heat_series"}[path]
     monkeypatch.setattr(be_mod, other, lambda *a: pytest.fail(f"{other} ran"))
     monkeypatch.setattr(be_mod, "heat_term_budget",
@@ -295,8 +237,8 @@ def only_path(monkeypatch, path):
 
 
 class TestHeatSeries:
-    """The ``spectral`` scheme: a Chebyshev series, or past its term budget one
-    dense eigendecomposition; ``eigh`` is the oracle of both."""
+    """``heat_flow``: a Chebyshev series, or past its term budget one dense
+    eigendecomposition; ``eigh`` is the oracle of both."""
 
     @staticmethod
     def eigh_reference(be, f0, t):

@@ -138,9 +138,10 @@ class TestTrainRun:
         assert rec["test"]["nmse"] > 0
 
     def test_early_stopping_stops(self):
-        # lr=0 never improves on the first evaluation: patience kicks in
+        # steps of lr=1e-300 move no loss past rounding, so the first
+        # evaluation is never improved on: patience kicks in
         cfg = tiny_barbell_config(epochs=200, patience=5)
-        cfg.optim = {"lr": 0.0}
+        cfg.optim = {"lr": 1e-300}
         rec = train_run(cfg, seed=0)
         assert rec["epochs_run"] <= 8
 
@@ -150,13 +151,31 @@ class TestTrainRun:
         with pytest.raises(ValueError, match="unknown optim keys: weight_decy"):
             train_run(cfg, seed=0)
 
+    def test_bad_optim_value_rejected_before_any_data(self, monkeypatch):
+        monkeypatch.setattr(runner, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        cfg = tiny_barbell_config()
+        cfg.optim = {"lr": -1}
+        with pytest.raises(ValueError, match="optim lr -1 must be a finite number > 0"):
+            train_run(cfg, seed=0)
+
     @pytest.mark.parametrize("overrides, message", [
         ({"epochz": 3}, "unknown run-config keys: epochz"),
         ({"model": {"layrs": 1}}, "unknown model keys: layrs"),
         ({"model": {"mu": {"hiden": 4}}}, "unknown model.mu keys: hiden"),
         ({"model": {"mu": True}}, "model.mu must be a JSON object, got bool"),
         ({"model": {"K": -1}}, "model K -1 must be an integer >= 0"),
-    ], ids=["run-key", "model-key", "mu-key", "mu-not-object", "model-value"])
+        ({"model": {"stable": "false"}}, "model stable 'false' must be true or false"),
+        ({"optim": {"weight_decy": 1e-5}}, "unknown optim keys: weight_decy"),
+        ({"optim": [1]}, "optim must be a JSON object, got list"),
+        ({"optim": {"lr": "fast"}}, "optim lr 'fast' must be a finite number > 0"),
+        ({"optim": {"eps": 0.0}}, "optim eps 0.0 must be a finite number > 0"),
+        ({"optim": {"weight_decay": -1e-5}}, "optim weight_decay -1e-05 must be a finite number >= 0"),
+        ({"optim": {"beta1": 1.0}}, r"optim beta1 1.0 must be in \[0, 1\)"),
+        ({"optim": {"beta2": -0.5}}, "optim beta2 -0.5 must be a finite number >= 0"),
+        ({"out": 5}, "run-config out 5 must be null or a path string"),
+    ], ids=["run-key", "model-key", "mu-key", "mu-not-object", "model-value", "stable-string",
+            "optim-key", "optim-not-object", "lr-string", "eps-zero", "weight-decay-negative",
+            "beta1-one", "beta2-negative", "out-number"])
     def test_config_rejected_as_it_loads(self, overrides, message):
         with pytest.raises(ValueError, match=message):
             tiny_barbell_config(**overrides)

@@ -372,10 +372,6 @@ class TestSpectralControlOnStars:
             # at small n; it is reported, not asserted
             assert f"radius-nominal-lower-n{n}" in checks
 
-    def test_bad_n(self):
-        with pytest.raises(ValueError, match="n >= 5"):
-            suite_star_bounds(ns=(4,))
-
 
 class TestSpectrumScalingLaws:
     def test_edge_weight_range_brackets_every_eigenvalue(self):

@@ -200,7 +200,7 @@ class TestGraphPropertyTask:
 
     def test_disconnected_after_retries(self):
         with pytest.raises(DisconnectedAfterRetries):
-            gen_graph_property("sssp", [30, 40], seed=0, p=0.001, retries=3)
+            gen_graph_property("sssp", [30, 40], seed=0, p=0.001)
 
     def test_unknown_task(self):
         with pytest.raises(ValueError, match="unknown property"):
