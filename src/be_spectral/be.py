@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import chebyshev, spectral
 from .errors import HeatSeriesTooLong, IsolatedNodeUnderMu
 from .graphs import Graph, _check_node_signal, endpoint_sums, grad, laplacian
 from .operators import DENSE_LIMIT, SymOperator
@@ -189,12 +190,10 @@ def scaled_bessel_i(a: float) -> np.ndarray:
 
 def _heat_series(be: BEOperator, f0: np.ndarray, t: float, lam: float) -> np.ndarray:
     """exp(-t L_mu) f0 as the Chebyshev series on [0, lam] (module docstring)."""
-    from .chebyshev import ChebFilter, cheb_apply
-
     coeffs = 2.0 * scaled_bessel_i(0.5 * t * lam)
     coeffs[0] *= 0.5
     coeffs[1::2] *= -1.0
-    return cheb_apply(ChebFilter(coeffs, lam), be.operator(), f0)
+    return chebyshev.cheb_apply(chebyshev.ChebFilter(coeffs, lam), be.operator(), f0)
 
 
 def _heat_eig(be: BEOperator, f0: np.ndarray, t: float, lam: float) -> np.ndarray:
@@ -202,9 +201,7 @@ def _heat_eig(be: BEOperator, f0: np.ndarray, t: float, lam: float) -> np.ndarra
 
     Eigenvalues below n eps lam, the solver's rounding, count as zero.
     """
-    from .spectral import eig_sym
-
-    dec = eig_sym(be.operator(), vectors=True)
+    dec = spectral.eig_sym(be.operator(), vectors=True)
     u, vals = dec.eigenvectors, dec.eigenvalues
     vals = np.where(vals <= be.graph.n * np.finfo(np.float64).eps * lam, 0.0, vals)
     with np.errstate(over="ignore"):  # -t * lambda may pass -inf; exp gives 0

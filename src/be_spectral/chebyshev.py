@@ -11,7 +11,8 @@ K matvecs. :func:`cheb_basis` is that recurrence, written once;
 the learned layers of ``models``, with (c_in, c_out) weight matrices
 per order, are ``autodiff.cheb_layer``, which runs the same recurrence.
 
-lambda_max only maps the spectrum into [-1, 1], so :func:`cheb_apply_be`
+Every :class:`ChebFilter` carries its lambda_max. It only maps the
+spectrum into [-1, 1], so :func:`cheb_apply_be`, given a bare operator,
 pads an estimate: the Lanczos value of ``spectral.lambda_max_power``
 (relative error at most 1e-12; the run stops once the top Ritz value,
 not its residual, has converged) times :data:`LAMBDA_MAX_SLACK`.
@@ -24,7 +25,6 @@ from operator import add
 
 import numpy as np
 
-from .be import BEOperator, normalized_be
 from .operators import SymOperator
 from .spectral import eig_sym, lambda_max_power
 
@@ -39,12 +39,12 @@ class ChebFilter:
 
     ``coefficients[k]`` multiplies T_k; they are stored as one 1-D float64
     array, and anything else (a scalar, matrices) is rejected. Matrix
-    weights belong to ``autodiff.cheb_layer``. ``lambda_max`` may be left
-    None and supplied (or estimated) at application time.
+    weights belong to ``autodiff.cheb_layer``. ``lambda_max`` > 0 is the
+    scale of ``scale_operator``.
     """
 
     coefficients: np.ndarray
-    lambda_max: float | None = None
+    lambda_max: float
 
     def __post_init__(self):
         self.coefficients = np.asarray(self.coefficients, dtype=np.float64)
@@ -53,7 +53,7 @@ class ChebFilter:
                              f"{self.coefficients.shape}")
         if not self.coefficients.size:
             raise ValueError("a filter needs at least the order-0 coefficient")
-        if self.lambda_max is not None and self.lambda_max <= 0.0:
+        if not self.lambda_max > 0.0:
             raise ValueError(f"lambda_max must be positive, got {self.lambda_max}")
 
     @property
@@ -88,8 +88,6 @@ def cheb_apply(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
 
     ``x`` has shape (n,) or (n, c); each column is filtered alike.
     """
-    if filt.lambda_max is None:
-        raise ValueError("filter has no lambda_max; set it or use cheb_apply_be")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[0] != op.n:
         raise ValueError(f"signal has {x.shape[0]} rows, operator has n={op.n}")
@@ -98,27 +96,16 @@ def cheb_apply(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
     return reduce(add, (theta * z for z, theta in terms))
 
 
-def cheb_apply_be(filt: ChebFilter, be: BEOperator, x: np.ndarray,
-                  kind: str = "unnormalized") -> np.ndarray:
-    """Apply a Chebyshev filter with the potential-weighted Laplacian.
+def cheb_apply_be(coefficients, op: SymOperator, x: np.ndarray) -> np.ndarray:
+    """Filter ``x`` with ``coefficients`` on ``op``, scaled by its estimated spectral radius.
 
-    ``kind`` selects the raw operator or its symmetric normalization. When
-    the filter carries no lambda_max, the spectral radius is estimated by
+    ``op`` is L_mu or its symmetric normalization. The radius comes from
     Lanczos iteration, floored at 1e-12 (an edgeless graph has L_mu = 0,
     which scales to -I for any positive value) and padded by
     :data:`LAMBDA_MAX_SLACK`.
     """
-    if kind == "unnormalized":
-        op = be.operator()
-    elif kind == "symmetric":
-        op = normalized_be(be)
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    if filt.lambda_max is not None:
-        lam = filt.lambda_max
-    else:
-        lam = LAMBDA_MAX_SLACK * max(lambda_max_power(op, iters=5000, tol=1e-12), 1e-12)
-    return cheb_apply(ChebFilter(filt.coefficients, lam), op, x)
+    lam = LAMBDA_MAX_SLACK * max(lambda_max_power(op, iters=5000, tol=1e-12), 1e-12)
+    return cheb_apply(ChebFilter(coefficients, lam), op, x)
 
 
 def cheb_spectral_oracle(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np.ndarray:
@@ -127,8 +114,6 @@ def cheb_spectral_oracle(filt: ChebFilter, op: SymOperator, x: np.ndarray) -> np
     Diagonalizes the operator, evaluates each T_k on the rescaled
     eigenvalues and assembles y = sum_k theta_k U diag(T_k) U^T x.
     """
-    if filt.lambda_max is None:
-        raise ValueError("oracle needs an explicit lambda_max")
     x = np.asarray(x, dtype=np.float64)
     cols = x.reshape(x.shape[0], -1)
     dec = eig_sym(op, vectors=True)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
-from .chebyshev import ChebFilter, cheb_apply_be
+from .chebyshev import cheb_apply_be
 from .errors import DisconnectedAfterRetries, HeatSeriesTooLong, IsolatedNodeUnderMu
 from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
@@ -55,6 +55,14 @@ def _mu_error(args, exc: ValueError) -> _InputError:
     """A potential that ``build_be`` or ``--normalized`` rejects, named by its file."""
     source = f"--mu {args.mu}" if args.mu else f"--graph {args.graph}"
     return _InputError(f"{source}: {exc}")
+
+
+def _operator(args, be):
+    """``normalized_be(be)`` under ``--normalized``, else L_mu; a zero degree names the file."""
+    try:
+        return normalized_be(be) if args.normalized else be.operator()
+    except IsolatedNodeUnderMu as exc:
+        raise _mu_error(args, exc) from None
 
 
 def _csv(flag: str, path) -> np.ndarray:
@@ -112,11 +120,7 @@ def cmd_spectrum(args) -> int:
     if g.n > DENSE_LIMIT:  # refused before any n x n matrix is made
         raise _InputError(f"--graph {args.graph} has n={g.n} nodes; the full spectrum "
                           f"is computed densely, for n <= {DENSE_LIMIT}")
-    try:
-        op = normalized_be(be) if args.normalized else be.operator()
-    except IsolatedNodeUnderMu as exc:
-        raise _mu_error(args, exc) from None
-    vals = eig_sym(op).eigenvalues
+    vals = eig_sym(_operator(args, be)).eigenvalues
     rows = np.stack([np.arange(g.n, dtype=np.float64), vals], axis=1)
     write_csv_matrix(rows, args.out, header="k,lambda")
     print(f"spectrum ({g.n} eigenvalues) -> {args.out}")
@@ -126,10 +130,8 @@ def cmd_spectrum(args) -> int:
 def cmd_diffuse(args) -> int:
     if not 0.0 <= args.t < np.inf:
         raise _InputError(f"--t {args.t} must be finite and nonnegative")
-    if not args.f0 and args.delta is None:
-        raise _InputError("either --f0 or --delta is required")
     g, be = _load_graph_mu(args)
-    if args.f0:
+    if args.delta is None:
         f0 = _node_values("--f0", args.f0, g.n)
     elif not 0 <= args.delta < g.n:
         raise _InputError(f"--delta {args.delta} is not a node of the graph (n={g.n})")
@@ -153,11 +155,7 @@ def cmd_filter(args) -> int:
     if args.K is not None and args.K + 1 != coeffs.size:
         raise _InputError(f"--K {args.K} but {coeffs.size} coefficients given")
     x = _node_rows(args.X, g.n)
-    try:
-        y = cheb_apply_be(ChebFilter(coeffs), be, x,
-                          kind="symmetric" if args.normalized else "unnormalized")
-    except IsolatedNodeUnderMu as exc:
-        raise _mu_error(args, exc) from None
+    y = cheb_apply_be(coeffs, _operator(args, be), x)
     write_csv_matrix(y, args.out)
     print(f"filtered signal -> {args.out}")
     return 0
@@ -188,9 +186,10 @@ def cmd_train(args) -> int:
     cfg = _read("--config", args.config, RunConfig.from_json)
     if args.out:
         cfg.out = args.out
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
     try:
+        if args.seed is not None:  # the config's seeds were checked as it loaded
+            check_int("train", "--seed", args.seed, 0)
+            cfg.seeds = [args.seed]
         if args.parallel_seeds:
             worker_count()
     except ValueError as exc:
@@ -219,8 +218,12 @@ def _model_from_checkpoint(ckpt_dir):
 
 def cmd_eval(args) -> int:
     cfg = _read("--config", args.config, RunConfig.from_json)
+    spec = task_spec(cfg.task)
+    if not spec.counts[2]:
+        raise _InputError(f"--config {args.config}: the test split is empty "
+                          f"(counts {spec.counts}), so there is nothing to evaluate")
     model = _read("--checkpoint", args.checkpoint, _model_from_checkpoint)
-    needs = task_spec(cfg.task).kinds
+    needs = spec.kinds
     has = {"in_dim": model.in_dim, "out_dim": model.config.out_dim,
            "readout": model.config.readout}
     wrong = [f"{k}={v} where the task needs {needs[k]}" for k, v in has.items() if v != needs[k]]
@@ -254,8 +257,10 @@ def cmd_export_mu(args) -> int:
         if not (nodes.dtype.kind in "iu" and nodes.size and 0 <= nodes.min() <= nodes.max() < g.n):
             raise _InputError(f"--meta {args.meta}: {key} {meta[key]} must list "
                               f"nodes of the graph (0 to {g.n - 1})")
-    tape = ad.Tape()
-    _, mu = model.forward(tape, context_for(g), x)
+    try:
+        _, mu = model.forward(ad.Tape(), context_for(g), x)
+    except IsolatedNodeUnderMu as exc:  # the sym operator needs every degree > 0
+        raise _InputError(f"--graph {args.graph}: {exc}") from None
     mu = mu.data.reshape(-1)
     write_csv_matrix(mu, args.out)
     manifest = {"n": g.n, "node_order": "0-based ascending",
@@ -302,8 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diffuse", parents=[on_graph],
                        help="heat flow under the weighted Laplacian")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--f0")
-    p.add_argument("--delta", type=int, help="start from a unit impulse here")
+    start = p.add_mutually_exclusive_group(required=True)
+    start.add_argument("--f0")
+    start.add_argument("--delta", type=int, help="start from a unit impulse here")
     p.set_defaults(func=cmd_diffuse)
 
     p = sub.add_parser("filter", parents=[on_graph], help="apply a scalar Chebyshev filter")

@@ -1,18 +1,16 @@
-"""Symmetric linear operators with dense or edge-list storage.
+"""Symmetric linear operators in edge-list storage.
 
-Operators built from edges keep the symmetric edge-list form at every
-size, so a matvec costs O(n + |E|) and no n x n matrix is allocated.
-:meth:`SymOperator.dense` scatters the matrix on demand for the callers
-that need one (the dense eigensolver), up to ``DENSE_LIMIT`` nodes;
-larger edge-list operators are matvec-only.
+An operator is its diagonal plus one value per unordered off-diagonal
+pair, at every size, so a matvec costs O(n + |E|) and no n x n matrix is
+allocated. :meth:`SymOperator.dense` scatters the matrix on demand for the
+callers that need one (the dense eigensolver), up to ``DENSE_LIMIT``
+nodes; larger operators are matvec-only.
 """
 from __future__ import annotations
 
 import numpy as np
 
 DENSE_LIMIT = 4096
-
-_SYM_TOL = 1e-12
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -22,43 +20,26 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 class SymOperator:
-    """Immutable wrapper around a symmetric real matrix.
+    """Immutable symmetric real matrix: a diagonal plus one value per pair (i, j).
 
-    Construct via :meth:`from_dense` or :meth:`from_edges`; the latter
-    describes the matrix by its diagonal plus one value per unordered
-    off-diagonal pair (i, j).
+    Construct via :meth:`from_edges`. ``__init__``'s ``dense`` keyword and
+    the class constant ``is_dense`` = False exist only for the benchmark
+    harness, which wraps ``__init__`` and reads ``is_dense``; ``dense``
+    must be None.
     """
+
+    is_dense = False
 
     def __init__(self, *, dense=None, n=None, edges=None, offdiag=None, diag=None):
         if dense is not None:
-            self._dense = _readonly(dense)
-            self._n = self._dense.shape[0]
-            self._edges = None
-            self._offdiag = None
-            self._diag = None
-        else:
-            self._dense = None
-            self._n = int(n)
-            self._edges = np.ascontiguousarray(edges, dtype=np.int64)
-            self._edges.setflags(write=False)
-            self._ei = np.ascontiguousarray(self._edges[:, 0])
-            self._ej = np.ascontiguousarray(self._edges[:, 1])
-            self._offdiag = _readonly(offdiag)
-            self._diag = _readonly(diag)
-
-    @classmethod
-    def from_dense(cls, mat, sym_tol: float = _SYM_TOL) -> "SymOperator":
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-        scale = np.abs(mat).max() if mat.size else 0.0
-        asym = np.abs(mat - mat.T).max() if mat.size else 0.0
-        if asym > sym_tol * max(scale, 1e-300):
-            raise ValueError(
-                f"matrix is not symmetric: max|M - M^T| = {asym:.3e} "
-                f"exceeds {sym_tol:.1e} * max|M| = {sym_tol * scale:.3e}"
-            )
-        return cls(dense=0.5 * (mat + mat.T))
+            raise ValueError("SymOperator has edge-list storage only; use from_edges")
+        self._n = int(n)
+        self._edges = np.ascontiguousarray(edges, dtype=np.int64)
+        self._edges.setflags(write=False)
+        self._ei = np.ascontiguousarray(self._edges[:, 0])
+        self._ej = np.ascontiguousarray(self._edges[:, 1])
+        self._offdiag = _readonly(offdiag)
+        self._diag = _readonly(diag)
 
     @classmethod
     def from_edges(cls, n, edges, offdiag, diag) -> "SymOperator":
@@ -76,14 +57,8 @@ class SymOperator:
     def n(self) -> int:
         return self._n
 
-    @property
-    def is_dense(self) -> bool:
-        return self._dense is not None
-
     def dense(self) -> np.ndarray:
-        """The matrix, read-only; edge-list storage is scattered anew on each call."""
-        if self._dense is not None:
-            return self._dense
+        """The matrix, read-only, scattered anew on each call."""
         n = self._n
         if n > DENSE_LIMIT:
             raise ValueError(f"operator with n={n} > {DENSE_LIMIT} is matvec-only")
@@ -99,8 +74,6 @@ class SymOperator:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[0] != self._n:
             raise ValueError(f"operand has {x.shape[0]} rows, operator has n={self._n}")
-        if self._dense is not None:
-            return self._dense @ x
         n, ei, ej, w = self._n, self._ei, self._ej, self._offdiag
         cols = x[:, None] if x.ndim == 1 else x
         y = self._diag[:, None] * cols
@@ -112,10 +85,6 @@ class SymOperator:
 
     def scaled(self, alpha: float, shift: float = 0.0) -> "SymOperator":
         """Return alpha * M + shift * I as a new operator."""
-        if self._dense is not None:
-            m = alpha * self._dense
-            m[np.arange(self._n), np.arange(self._n)] += shift
-            return SymOperator(dense=m)
         return SymOperator(
             n=self._n,
             edges=self._edges,
@@ -124,5 +93,4 @@ class SymOperator:
         )
 
     def __repr__(self):
-        kind = "dense" if self.is_dense else "edges"
-        return f"SymOperator(n={self._n}, {kind})"
+        return f"SymOperator(n={self._n})"

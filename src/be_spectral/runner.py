@@ -95,16 +95,17 @@ class RunConfig:
 
         ``epochs`` and ``patience`` are at least 0 (0 epochs evaluates the
         untrained model), ``eval_every`` at least 1, ``batch_size`` null (full
-        batch) or at least 1, and ``seeds`` a non-empty list.
+        batch) or at least 1, and ``seeds`` a non-empty list of integers >= 0.
         """
         for key, low in (("epochs", 0), ("patience", 0), ("eval_every", 1)):
             check_int("run-config", key, getattr(self, key), low)
         if not (self.batch_size is None or is_int(self.batch_size) and self.batch_size >= 1):
             raise ValueError(f"run-config batch_size {self.batch_size!r} must be null "
                              "or an integer >= 1")
-        if not (isinstance(self.seeds, list) and self.seeds and all(map(is_int, self.seeds))):
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(is_int(s) and s >= 0 for s in self.seeds)):
             raise ValueError(f"run-config seeds {self.seeds!r} must be a non-empty "
-                             "list of integers")
+                             "list of integers >= 0")
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -183,7 +184,8 @@ def task_spec(task_cfg: dict, data_seed: int | None = None) -> TaskSpec:
 def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
     """The body of :func:`task_spec`; pops every key it knows from ``cfg``."""
     seed = cfg.pop("data_seed", 777)
-    seed = int(seed if data_seed is None else data_seed)
+    seed = seed if data_seed is None else data_seed
+    check_int(f"{name} task", "data_seed", seed, 0)
     counts = cfg.pop("counts", None)
 
     if name == "barbell":

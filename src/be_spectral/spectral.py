@@ -1,8 +1,10 @@
 """Dense symmetric eigendecomposition and Rayleigh-quotient machinery.
 
-The eigensolver is LAPACK's symmetric routine (``numpy.linalg.eigh``) with
-a fixed sign convention on the eigenvectors, or its eigenvalues-only
-routine (``numpy.linalg.eigvalsh``) where no eigenvector is needed.
+Operators are edge-list :class:`~be_spectral.operators.SymOperator` objects
+only. The eigensolver densifies one (n <= ``DENSE_LIMIT``) and calls LAPACK's
+symmetric routine (``numpy.linalg.eigh``) with a fixed sign convention on
+the eigenvectors, or its eigenvalues-only routine
+(``numpy.linalg.eigvalsh``) where no eigenvector is needed.
 Results are bit-stable across runs for a given platform, LAPACK build and
 BLAS thread count; they may differ in the last bits between machines or
 thread counts. The spectral radius of operators too large to densify
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import ZeroSignal
 from .graphs import Graph, _check_node_signal, endpoint_sums, grad
-from .operators import DENSE_LIMIT, SymOperator
+from .operators import SymOperator
 
 log = logging.getLogger(__name__)
 
@@ -50,23 +52,19 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray | None  # (n, n), column k pairs with eigenvalue k
 
 
-def eig_sym(op, vectors: bool = False) -> SpectralDecomposition:
-    """Eigenvalues, and with ``vectors=True`` eigenvectors, of a symmetric operator.
+def eig_sym(op: SymOperator, vectors: bool = False) -> SpectralDecomposition:
+    """Eigenvalues, and with ``vectors=True`` eigenvectors, of a :class:`SymOperator`.
 
-    Dense LAPACK, n <= 4096. By default it calls the eigenvalues-only
-    routine (``eigvalsh``) and returns no eigenvectors; ``vectors=True``
-    calls ``eigh``, whose eigenvalues may differ at rounding level.
-    Deterministic for fixed input bits, platform and BLAS thread count;
-    eigenvector signs are normalized so the first non-negligible component
-    is positive.
+    Dense LAPACK on ``op.dense()``, so n <= ``DENSE_LIMIT`` (a larger
+    operator raises there, as matvec-only). By default it calls the
+    eigenvalues-only routine (``eigvalsh``) and returns no eigenvectors;
+    ``vectors=True`` calls ``eigh``, whose eigenvalues may differ at
+    rounding level. Deterministic for fixed input bits, platform and BLAS
+    thread count; eigenvector signs are normalized so the first
+    non-negligible component is positive.
     """
-    if isinstance(op, SymOperator):
-        mat = op.dense()
-    else:
-        mat = SymOperator.from_dense(op).dense()
+    mat = op.dense()
     n = mat.shape[0]
-    if n > DENSE_LIMIT:
-        raise ValueError(f"n={n} exceeds the dense eigensolver limit {DENSE_LIMIT}")
     if not vectors:
         vals = np.linalg.eigvalsh(mat)
         vals.setflags(write=False)

@@ -179,7 +179,6 @@ class TestNormalized:
     def test_symmetric_above_dense_limit(self):
         be, rng = large_ring_be(14)
         op = normalized_be(be)
-        assert not op.is_dense
         r = 1.0 / np.sqrt(be.degrees)
         x = rng.standard_normal((be.graph.n, 2))
         want = r[:, None] * be.operator().matvec(r[:, None] * x)

@@ -6,17 +6,19 @@ import numpy.testing as npt
 import pytest
 
 import be_spectral.autodiff as ad
-from be_spectral import (ChebFilter, SymOperator, build_be, cheb_apply,
-                         cheb_apply_be, cheb_spectral_oracle, eig_sym,
-                         laplacian, ring_graph, scale_operator)
-from be_spectral.chebyshev import cheb_basis
+from be_spectral import (ChebFilter, build_be, cheb_apply, cheb_apply_be,
+                         cheb_spectral_oracle, eig_sym, laplacian, normalized_be,
+                         ring_graph, scale_operator)
+from be_spectral.chebyshev import LAMBDA_MAX_SLACK, cheb_basis
 from be_spectral.graphs import build_graph
+from be_spectral.spectral import lambda_max_power
 from be_spectral.verify import random_graph
+from helpers import sym_op
 
 
 class TestScaleOperator:
     def test_scaled_identity(self):
-        op = SymOperator.from_dense(3.0 * np.eye(4))
+        op = sym_op(3.0 * np.eye(4))
         npt.assert_array_equal(scale_operator(op, 3.0).dense(), np.eye(4))
 
     def test_four_ring_endpoints(self):
@@ -31,20 +33,27 @@ class TestScaleOperator:
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="positive"):
-            scale_operator(SymOperator.from_dense(np.eye(2)), 0.0)
+            scale_operator(sym_op(np.eye(2)), 0.0)
 
 
 class TestChebFilterType:
     def test_mixed_shapes_rejected(self):
         # scalar filters only: matrix weights are autodiff.cheb_layer's
         with pytest.raises(ValueError):
-            ChebFilter([np.zeros(()), np.zeros((2, 2))])
+            ChebFilter([np.zeros(()), np.zeros((2, 2))], lambda_max=1.0)
         with pytest.raises(ValueError, match="scalars"):
-            ChebFilter([np.zeros((2, 2)), np.zeros((2, 2))])
+            ChebFilter([np.zeros((2, 2)), np.zeros((2, 2))], lambda_max=1.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="order-0"):
-            ChebFilter([])
+            ChebFilter([], lambda_max=1.0)
+
+    def test_lambda_max_required_and_positive(self):
+        with pytest.raises(TypeError, match="lambda_max"):
+            ChebFilter([1.0])
+        for lam in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                ChebFilter([1.0], lambda_max=lam)
 
     def test_k_property(self):
         assert ChebFilter([1.0, 0.5, 0.25], lambda_max=2.0).K == 2
@@ -138,32 +147,27 @@ class TestChebApply:
         with pytest.raises(ValueError, match="rows"):
             cheb_apply(ChebFilter([1.0], lambda_max=4.0), laplacian(g),
                        np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="lambda_max"):
-            cheb_apply(ChebFilter([1.0]), laplacian(g), np.zeros(4))
 
 
 class TestChebApplyBE:
     def test_uniform_mu_equals_plain_bitwise(self):
         g = ring_graph(6)
         rng = np.random.default_rng(7)
-        filt = ChebFilter(list(rng.standard_normal(5)), lambda_max=4.5)
+        coeffs = rng.standard_normal(5)
         x = rng.standard_normal((6, 2))
         be = build_be(g, np.ones(6))
-        npt.assert_array_equal(cheb_apply_be(filt, be, x),
-                               cheb_apply(filt, laplacian(g), x))
+        npt.assert_array_equal(cheb_apply_be(coeffs, be.operator(), x),
+                               cheb_apply_be(coeffs, laplacian(g), x))
 
     def test_bandpass_rejects_constants(self):
         # filter with zero response at the bottom of the spectrum:
-        # project out T_0 so constants (eigenvalue 0) are annihilated
+        # g(l) = T_0 + T_1(ls) vanishes at ls = -1, the image of eigenvalue 0
+        # under every scale, so constants are annihilated
         g = ring_graph(4)
         be = build_be(g, [1.0, 1.0, 3.0, 1.0])
-        lam = 1.01 * eig_sym(be.operator()).eigenvalues[-1]
-        # g(l) = T_1(ls) - T_1(-1) has a root exactly at l = 0
-        shift = 2.0 / lam * 0.0 - 1.0  # scaled image of eigenvalue 0
-        filt = ChebFilter([-shift, 1.0], lambda_max=lam)
         rng = np.random.default_rng(8)
         x = rng.standard_normal((4, 1))
-        y = cheb_apply_be(filt, be, x)
+        y = cheb_apply_be([1.0, 1.0], be.operator(), x)
         # output must be orthogonal to the constant kernel vector
         assert abs(y.sum()) <= 1e-9 * max(np.abs(y).max(), 1.0)
 
@@ -172,35 +176,35 @@ class TestChebApplyBE:
         g = random_graph(rng, n_min=15, n_max=25)
         mu = rng.uniform(0.2, 2.0, g.n)
         be = build_be(g, mu)
-        filt = ChebFilter(list(rng.standard_normal(6)))
+        coeffs = rng.standard_normal(6)
         x = rng.standard_normal((g.n, 2))
-        y = cheb_apply_be(filt, be, x)
+        y = cheb_apply_be(coeffs, be.operator(), x)
         lam_true = eig_sym(be.operator()).eigenvalues[-1]
-        from be_spectral.spectral import lambda_max_power
         lam_est = 1.01 * lambda_max_power(be.operator(), iters=5000, tol=1e-12)
         assert lam_true <= lam_est <= 1.02 * lam_true
-        ref = cheb_spectral_oracle(ChebFilter(filt.coefficients, lam_est),
-                                  be.operator(), x)
+        ref = cheb_spectral_oracle(ChebFilter(coeffs, lam_est), be.operator(), x)
         assert np.abs(y - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
     def test_edgeless_graph(self):
         # L_mu = 0 scales to -I for any positive lambda_max, so T_k(Ls) = (-1)^k I
         coeffs = [1.0, 0.5, -0.25, 2.0]
         x = np.random.default_rng(17).standard_normal((5, 2))
-        y = cheb_apply_be(ChebFilter(coeffs), build_be(build_graph(5, []), np.ones(5)), x)
+        y = cheb_apply_be(coeffs, build_be(build_graph(5, []), np.ones(5)).operator(), x)
         npt.assert_allclose(y, sum(c * (-1) ** k for k, c in enumerate(coeffs)) * x,
                             rtol=0, atol=1e-14)
 
-    def test_normalized_kind(self):
+    def test_normalized_operator(self):
+        # the symmetric normalization has its spectrum in [0, 2]
         rng = np.random.default_rng(10)
         g = random_graph(rng, connected=True)
-        be = build_be(g, rng.uniform(0.5, 2.0, g.n))
-        filt = ChebFilter(list(rng.standard_normal(4)), lambda_max=2.0)
-        from be_spectral import normalized_be
+        op = normalized_be(build_be(g, rng.uniform(0.5, 2.0, g.n)))
+        coeffs = rng.standard_normal(4)
         x = rng.standard_normal(g.n)
-        y = cheb_apply_be(filt, be, x, kind="symmetric")
-        ref = cheb_apply(filt, normalized_be(be), x)
-        npt.assert_array_equal(y, ref)
+        y = cheb_apply_be(coeffs, op, x)
+        lam_est = LAMBDA_MAX_SLACK * lambda_max_power(op, iters=5000, tol=1e-12)
+        assert eig_sym(op).eigenvalues[-1] <= lam_est <= LAMBDA_MAX_SLACK * 2.0
+        ref = cheb_spectral_oracle(ChebFilter(coeffs, lam_est), op, x)
+        assert np.abs(y - ref).max() <= 1e-9 * max(np.abs(ref).max(), 1.0)
 
     def test_memory_stays_sparse(self):
         # ring plus 2n random pairs at n = 4000: a dense L_mu would take n^2 8 B
@@ -210,11 +214,11 @@ class TestChebApplyBE:
         edges = np.concatenate([np.stack([np.arange(n), (np.arange(n) + 1) % n], 1),
                                 extra[extra[:, 0] != extra[:, 1]]])
         be = build_be(build_graph(n, edges), rng.uniform(0.1, 2.0, n))
-        filt = ChebFilter(list(rng.standard_normal(10)))
+        coeffs = rng.standard_normal(10)
         x = rng.standard_normal((n, 4))
         tracemalloc.start()
         try:
-            y = cheb_apply_be(filt, be, x)
+            y = cheb_apply_be(coeffs, be.operator(), x)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -270,8 +270,20 @@ class TestCli:
                      "--delta", "0", "--out", str(out)]) == 0
         f = read_csv_matrix(out)
         npt.assert_allclose(f, np.full(6, 1 / 6), atol=1e-8)
-        assert main(["diffuse", "--graph", str(gpath), "--t", "1.0",
-                     "--out", str(out)]) == 2  # no initial condition given
+
+    @pytest.mark.parametrize("both", [False, True], ids=["neither", "both"])
+    def test_diffuse_needs_exactly_one_start(self, tmp_path, capsys, both):
+        gpath, f0 = tmp_path / "g.edges", tmp_path / "f0.csv"
+        write_edge_list(ring_graph(4), gpath)
+        write_csv_matrix(np.array([1.0, 0.0, 0.0, 0.0]), f0)
+        start = ["--f0", str(f0), "--delta", "1"] if both else []
+        out = tmp_path / "f.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["diffuse", "--graph", str(gpath), "--t", "1.0", *start,
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert "--f0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("delta", ["-1", "6"])
     def test_diffuse_delta_outside_graph(self, tmp_path, capsys, delta):
@@ -681,7 +693,7 @@ class TestTrainEvalExportCli:
 class TestExportMuInputErrors:
     @pytest.mark.parametrize("case", ["graph", "rows", "columns", "non-finite",
                                       "meta-index", "meta-negative", "meta-empty",
-                                      "meta-not-object"])
+                                      "meta-not-object", "isolated-node"])
     def test_bad_input_exits_2_with_one_line(self, tmp_path, capsys, case):
         cfg = ModelConfig(layers=1, K=2, hidden=4)
         model = MuChebNet(1, cfg, seed=0)
@@ -693,6 +705,10 @@ class TestExportMuInputErrors:
             gpath.write_text("0 1\n1 x\n")
             write_csv_matrix(np.ones(6), xpath)
             expected = [f"--graph {gpath}"]
+        elif case == "isolated-node":  # node 1 has no edge; the sym operator needs one
+            gpath.write_text("0 2\n2 3\n")
+            write_csv_matrix(np.ones(4), xpath)
+            expected = [f"--graph {gpath}: ", "isolated node"]
         elif case == "rows":
             write_csv_matrix(np.ones(5), xpath)
             expected = [f"--X {xpath} has 5 rows", "n=6"]
@@ -773,8 +789,12 @@ class TestConfigAndCheckpointInputErrors:
         ({"name": "graph-property", "counts": [0, 2, 2]},
          "graph-property task counts [0, 2, 2]: the train and val splits"),
         ({"name": "barbell", "n": 12, "counts": []}, "barbell task counts [] must be three"),
+        ({"name": "barbell", "n": 12, "data_seed": -7},
+         "barbell task data_seed -7 must be an integer >= 0"),
+        ({"name": "ring", "data_seed": 1.5}, "ring task data_seed 1.5 must be an integer >= 0"),
     ], ids=["name", "key", "odd-barbell", "odd-ring", "property", "no-classes", "p-zero",
-            "no-train", "no-val", "property-no-train", "empty-counts"])
+            "no-train", "no-val", "property-no-train", "empty-counts", "data-seed-negative",
+            "data-seed-float"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_task_block_exits_2_before_any_data(self, tmp_path, capsys, monkeypatch,
                                                     command, task, named):
@@ -822,8 +842,10 @@ class TestConfigAndCheckpointInputErrors:
         ({"model": {**TINY_RUN["model"], "stable": "false"}},
          "model stable 'false' must be true or false"),
         ({"out": 5}, "run-config out 5 must be null or a path string"),
+        ({"seeds": [0, -1]}, "run-config seeds [0, -1] must be a non-empty list of "
+                             "integers >= 0"),
     ], ids=["optim-key", "optim-not-object", "lr-string", "lr-negative", "beta2-one",
-            "stable-string", "out-number"])
+            "stable-string", "out-number", "seeds-negative"])
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_bad_optim_or_run_value_exits_2_before_any_data(self, tmp_path, capsys,
                                                             monkeypatch, command, changes,
@@ -838,6 +860,28 @@ class TestConfigAndCheckpointInputErrors:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    def test_negative_train_seed_exits_2_before_any_data(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(TINY_RUN))
+        assert main(["train", "--config", str(path), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == "train --seed -1 must be an integer >= 0\n", err
+
+    def test_eval_on_an_empty_test_split_exits_2_before_any_data(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.setattr(cli, "build_dataset", lambda *a, **k: pytest.fail("data made"))
+        config, out = tmp_path / "run.json", tmp_path / "eval.json"
+        config.write_text(json.dumps({**TINY_RUN, "task": {**TINY_RUN["task"],
+                                                           "counts": [4, 2, 0]}}))
+        assert main(["eval", "--config", str(config), "--checkpoint",
+                     str(_checkpoint(tmp_path / "ckpt")), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--config {config}: the test split is empty" in err
 
     @pytest.mark.parametrize("threads", ["0", "-1", "abc", "1.5", ""])
     def test_bad_thread_count_exits_2_before_any_worker(self, tmp_path, capsys, monkeypatch,

@@ -5,21 +5,7 @@ import pytest
 
 from be_spectral import SymOperator, star_graph
 from be_spectral.operators import DENSE_LIMIT
-
-
-def test_rejects_asymmetric():
-    m = np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]])
-    with pytest.raises(ValueError, match="not symmetric"):
-        SymOperator.from_dense(m)
-
-
-def test_symmetrizes_roundoff():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((5, 5))
-    a = a @ a.T
-    a[0, 1] += 1e-15
-    op = SymOperator.from_dense(a)
-    npt.assert_array_equal(op.dense(), op.dense().T)
+from helpers import sym_op
 
 
 def test_from_edges_matches_dense_construction():
@@ -45,7 +31,6 @@ def test_sparse_matvec_agrees_with_dense():
     diag = rng.standard_normal(n)
     dense_op = SymOperator.from_edges(n, edges, off, diag)
     sparse_op = SymOperator(n=n, edges=edges, offdiag=off, diag=diag)
-    assert not sparse_op.is_dense
     x = rng.standard_normal(n)
     npt.assert_allclose(sparse_op.matvec(x), dense_op.matvec(x), atol=1e-12)
     xc = rng.standard_normal((n, 3))
@@ -57,7 +42,6 @@ def test_sparse_matvec_agrees_with_dense():
 def test_from_edges_keeps_edge_storage_and_densifies_on_demand():
     edges = np.array([[0, 1], [1, 2]])
     op = SymOperator.from_edges(4, edges, np.array([-1.0, 2.0]), np.arange(4.0))
-    assert not op.is_dense
     m = op.dense()
     assert not m.flags.writeable
     assert op.dense() is not m  # scattered per call, not cached
@@ -94,11 +78,11 @@ def test_matvec_without_edges():
     npt.assert_array_equal(op.matvec(xc), g.degrees[:, None] * xc)
 
 
-def test_scaled_both_storages():
+def test_scaled():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((6, 6))
     a = a + a.T
-    op = SymOperator.from_dense(a)
+    op = sym_op(a)
     npt.assert_allclose(op.scaled(2.0, -1.0).dense(), 2 * a - np.eye(6), atol=0)
     edges = np.array([[0, 1]])
     sp = SymOperator(n=6, edges=edges, offdiag=np.array([3.0]),
@@ -109,7 +93,13 @@ def test_scaled_both_storages():
                         0.5 * sp.matvec(x) + x, atol=1e-14)
 
 
+def test_dense_storage_refused():
+    # the keyword stays for the benchmark harness, which passes dense=None
+    with pytest.raises(ValueError, match="edge-list storage only"):
+        SymOperator(dense=np.eye(2))
+
+
 def test_matvec_shape_check():
-    op = SymOperator.from_dense(np.eye(3))
+    op = sym_op(np.eye(3))
     with pytest.raises(ValueError, match="rows"):
         op.matvec(np.zeros(4))

@@ -1,5 +1,6 @@
 """Package-wide structure: every public export has a caller inside the package,
-and every exception class in ``errors`` is raised by some module."""
+every exception class in ``errors`` is raised by some module, and the modules
+import each other at the top only, without a cycle."""
 import ast
 from pathlib import Path
 
@@ -35,6 +36,40 @@ def _raised_names(tree: ast.AST) -> set:
 def _other_modules(name: str):
     return [ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))
             if path.name != name]
+
+
+def _package_imports(tree: ast.AST) -> set:
+    """Sibling modules a module body imports: ``from .x import ...``, ``from . import x``."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_imports_are_at_module_top_and_acyclic():
+    # a call-time import hides a dependency, usually one that would close a cycle
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    inside = [f"{name}.py:{node.lineno}" for name, tree in sorted(trees.items())
+              for fn in ast.walk(tree)
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
+    graph = {name: _package_imports(tree) for name, tree in trees.items()}
+    done, path = set(), []
+
+    def visit(name):
+        if name in path:
+            raise AssertionError(f"import cycle {' -> '.join(path[path.index(name):] + [name])}")
+        if name not in done:
+            path.append(name)
+            for dep in sorted(graph.get(name, ())):
+                visit(dep)
+            path.pop()
+            done.add(name)
+
+    for name in sorted(graph):
+        visit(name)
 
 
 def test_every_export_has_a_caller_in_the_package():
