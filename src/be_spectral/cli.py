@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .be import build_be, heat_flow, normalized_be
 from .chebyshev import cheb_apply_be
 from .errors import DisconnectedAfterRetries, HeatSeriesTooLong, IsolatedNodeUnderMu
@@ -22,7 +21,8 @@ from .fileio import (dump_instance, load_checkpoint, read_csv_matrix,
                      read_edge_list, write_csv_matrix)
 from .models import ModelConfig, MuChebNet, check_int, context_for
 from .operators import DENSE_LIMIT
-from .runner import RunConfig, build_dataset, evaluate, task_spec, train_multi, worker_count
+from .runner import (TASK_TYPES, RunConfig, build_dataset, evaluate, task_spec, train_multi,
+                     worker_count)
 from .spectral import eig_sym
 from .verify import SUITES
 
@@ -218,15 +218,14 @@ def _model_from_checkpoint(ckpt_dir):
 
 def cmd_eval(args) -> int:
     cfg = _read("--config", args.config, RunConfig.from_json)
-    spec = task_spec(cfg.task)
-    if not spec.counts[2]:
+    task = task_spec(cfg.task)
+    if not task.counts[2]:
         raise _InputError(f"--config {args.config}: the test split is empty "
-                          f"(counts {spec.counts}), so there is nothing to evaluate")
+                          f"(counts {task.counts}), so there is nothing to evaluate")
     model = _read("--checkpoint", args.checkpoint, _model_from_checkpoint)
-    needs = spec.kinds
-    has = {"in_dim": model.in_dim, "out_dim": model.config.out_dim,
-           "readout": model.config.readout}
-    wrong = [f"{k}={v} where the task needs {needs[k]}" for k, v in has.items() if v != needs[k]]
+    wrong = [f"{k}={v} where the task needs {getattr(task, k)}" for k, v in
+             (("in_dim", model.in_dim), ("out_dim", model.config.out_dim),
+              ("readout", model.config.readout)) if v != getattr(task, k)]
     if wrong:
         raise _InputError(f"--checkpoint {args.checkpoint} does not fit the --config "
                           f"{args.config} task: {', '.join(wrong)}")
@@ -243,6 +242,9 @@ def cmd_export_mu(args) -> int:
     if model.parameterizer is None:
         raise _InputError(f"--checkpoint {args.checkpoint} has no potential parameterizer")
     g = _read("--graph", args.graph, read_edge_list)
+    if g.n > DENSE_LIMIT:  # the model holds (n, n) operators; refused before any is made
+        raise _InputError(f"--graph {args.graph} has n={g.n} nodes; the model is dense, "
+                          f"for n <= {DENSE_LIMIT}")
     x = _node_rows(args.X, g.n).reshape(g.n, -1)
     if x.shape[1] != model.in_dim:
         raise _InputError(f"--X {args.X} has {x.shape[1]} columns, the checkpoint "
@@ -251,14 +253,13 @@ def cmd_export_mu(args) -> int:
             if args.meta else {})
     if not isinstance(meta, dict):
         raise _InputError(f"--meta {args.meta}: not a JSON object")
-    roles = {key: np.asarray(meta[key]) for key in
-             ("clean_path", "noisy_path", "bridge", "bell_a", "bell_b") if key in meta}
+    roles = {k: np.asarray(meta[k]) for t in TASK_TYPES.values() for k in t.roles if k in meta}
     for key, nodes in roles.items():
         if not (nodes.dtype.kind in "iu" and nodes.size and 0 <= nodes.min() <= nodes.max() < g.n):
             raise _InputError(f"--meta {args.meta}: {key} {meta[key]} must list "
                               f"nodes of the graph (0 to {g.n - 1})")
     try:
-        _, mu = model.forward(ad.Tape(), context_for(g), x)
+        _, mu = model.forward(None, context_for(g), x)
     except IsolatedNodeUnderMu as exc:  # the sym operator needs every degree > 0
         raise _InputError(f"--graph {args.graph}: {exc}") from None
     mu = mu.data.reshape(-1)

@@ -219,14 +219,17 @@ class MuChebNet:
 
     # --- parameter plumbing ---
 
-    def bind(self, tape: ad.Tape) -> dict[str, ad.Tensor]:
+    def bind(self, tape: ad.Tape | None) -> dict[str, ad.Tensor]:
         """One leaf per parameter on ``tape``, bound on its first forward pass.
 
         Later forwards on the same tape (one per graph of a graph-property
         batch) reuse those leaves, so each parameter's gradient sums over
         the whole batch. Raises ``ValueError`` if the tape's leaves are not
-        this model's parameters.
+        this model's parameters. ``tape=None`` (inference) binds constants,
+        so the forward records nothing.
         """
+        if tape is None:
+            return {k: ad.constant(v) for k, v in self.params.items()}
         leaves = tape.leaves()
         if not leaves:
             return {k: tape.leaf(v, name=k) for k, v in self.params.items()}
@@ -280,7 +283,7 @@ class MuChebNet:
 
     # --- forward ---
 
-    def forward(self, tape: ad.Tape, ctx: GraphContext, x, lambda_max=None,
+    def forward(self, tape: ad.Tape | None, ctx: GraphContext, x, lambda_max=None,
                 norm_trace: list | None = None):
         """Run the network; returns (predictions, potential-or-None).
 

@@ -1,8 +1,8 @@
 """Training / evaluation harness: datasets, runs, records.
 
 A run is fully described by a :class:`RunConfig`, whose model, optim and task
-blocks are checked as it loads (:func:`task_spec` parses the task block
-once for that check and for :func:`build_dataset`); re-running the same
+blocks are checked as it loads (:func:`task_spec` loads the task block into
+its typed task, for that check and for :func:`build_dataset`); re-running the same
 config and seed on one platform reproduces every metric bit for bit
 (full-batch by default, seeded shuffling otherwise, deterministic
 aggregation order). When the run ends, its per-eval metrics are written
@@ -18,9 +18,8 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .fileio import save_checkpoint, write_csv_matrix
 from .models import (ModelConfig, MuChebNet, accuracy, check_int, check_real,
                      config_from_dict, context_for, cross_entropy_loss, is_int, log10_mse,
                      mse_loss)
-from .graphs import barbell_graph
-from .tasks import (GRAPH_MODELS, PROPERTY_TASKS, TaskInstance, gen_barbell,
-                    gen_graph_property, gen_ring_routing, ring_routing_graph)
+from .operators import DENSE_LIMIT
+from .tasks import (GRAPH_MODELS, PROPERTY_TASKS, gen_barbell, gen_graph_property,
+                    gen_ring_routing)
 
 
 @dataclass
@@ -84,10 +83,13 @@ class RunConfig:
         if from_task:
             raise ValueError(f"model keys {', '.join(from_task)}: the task sets them, "
                              "so a run config may not")
-        counts = task_spec(cfg.task).counts
-        if min(counts[:2]) < 1:
-            raise ValueError(f"{cfg.task['name']} task counts {counts}: the train and val "
+        task = task_spec(cfg.task)
+        if min(task.counts[:2]) < 1:
+            raise ValueError(f"{task.name} task counts {task.counts}: the train and val "
                              "splits need at least one instance each")
+        if task.max_nodes > DENSE_LIMIT:  # the models hold (n, n) operators
+            raise ValueError(f"{task.name} task graphs reach {task.max_nodes} nodes; the "
+                             f"models are dense, for n <= {DENSE_LIMIT}")
         return cfg
 
     def _check_loop(self) -> None:
@@ -131,115 +133,120 @@ class TaskData:
     shared_graph: bool
 
 
-def _check_shared_graph(splits: list[list[TaskInstance]]) -> None:
-    """Check that a fixed-topology task's instances all hold one graph object.
+@dataclass
+class _Task:
+    """A run-config ``task`` block: ``counts`` (null takes ``default_counts``), ``data_seed``
+    and the keys its type's ``_check`` checks without building a graph. A type also has a
+    ``name``, ``make(seed)``, the :class:`TaskData` fields, ``max_nodes`` and ``roles``."""
 
-    ``barbell_graph`` and ``ring_graph`` are memoized, so every instance
-    already shares the graph; operator constants are then computed once.
-    """
-    g0 = splits[0][0].graph
-    for name, split in zip(("train", "val", "test"), splits):
-        for i, inst in enumerate(split):
-            if inst.graph is not g0:
-                raise ValueError(f"{name} instance {i} has {inst.graph!r}, "
-                                 f"not the shared {g0!r}")
+    counts: list | None = None
+    data_seed: int = 777
 
-
-class TaskSpec(NamedTuple):
-    """A parsed ``task`` block; ``kinds`` holds the :class:`TaskData` fields."""
-
-    make: Callable[[int], TaskInstance]  # instance from its seed
-    counts: list                         # train, val, test sizes
-    seed: int                            # data seed
-    kinds: dict
+    def __post_init__(self):
+        check_int(f"{self.name} task", "data_seed", self.data_seed, 0)
+        self.counts = list(self.default_counts) if self.counts is None else self.counts
+        if not (isinstance(self.counts, list) and len(self.counts) == 3
+                and all(is_int(c) and c >= 0 for c in self.counts)):
+            raise ValueError(f"{self.name} task counts {self.counts} must be three "
+                             "nonnegative split sizes")
+        self._check()
 
 
-def task_spec(task_cfg: dict, data_seed: int | None = None) -> TaskSpec:
-    """Parse a run-config ``task`` block; no instance is made.
+@dataclass
+class RingTask(_Task):
+    """Routing on an even ring of ``n`` nodes."""
 
-    Raises ``ValueError`` for a block that is not an object, an unknown task
-    name or key, a value of the wrong type, bad split counts, a barbell or
-    ring size the task cannot use (the shared graph is built here, once),
-    fewer than one ring class or an erdos-renyi edge probability ``p``
-    outside (0, 1].
-    ``RunConfig.from_dict`` calls it to check the block as it loads,
-    ``build_dataset`` to make the data.
-    """
+    name, default_counts, roles = "ring", (256, 64, 128), ("clean_path", "noisy_path")
+    loss_kind, metric, readout, shared_graph = "cross-entropy", "accuracy", "node", True
+    n: int = 16
+    classes: int = 10
+    noise_scale: float = 1.0
+
+    def _check(self):
+        if not (is_int(self.n) and self.n >= 8 and self.n % 2 == 0):
+            raise ValueError(f"ring task n {self.n!r} must be an even integer >= 8")
+        check_int("ring task", "classes", self.classes, 1)
+        check_real("ring task", "noise_scale", self.noise_scale)
+        self.in_dim, self.out_dim, self.max_nodes = self.classes, self.classes, self.n
+
+    def make(self, seed): return gen_ring_routing(self.n, self.classes, seed, self.noise_scale)
+
+
+@dataclass
+class BarbellTask(_Task):
+    """Two bells of ``n_clique`` nodes (or ``n`` in all) and a bridge of ``k_path``."""
+
+    name, default_counts, roles = "barbell", (64, 16, 32), ("bridge", "bell_a", "bell_b")
+    loss_kind, metric, in_dim, out_dim, readout, shared_graph = "mse", "nmse", 1, 1, "node", True
+    n: int | None = None
+    n_clique: int | None = None
+    k_path: int = 4
+
+    def _check(self):
+        if (self.n is None) == (self.n_clique is None):
+            raise ValueError("barbell task needs n or n_clique, not both")
+        check_int("barbell task", "k_path", self.k_path, 1)
+        if self.n is None:
+            check_int("barbell task", "n_clique", self.n_clique, 2)
+        else:  # two bells of at least two nodes
+            check_int("barbell task", "n", self.n, self.k_path + 4)
+            if (self.n - self.k_path) % 2:
+                raise ValueError(f"total size {self.n} minus bridge {self.k_path} must be even")
+        self.bell = self.n_clique if self.n is None else (self.n - self.k_path) // 2
+        self.max_nodes = 2 * self.bell + self.k_path
+
+    def make(self, seed): return gen_barbell(self.bell, self.k_path, seed)
+
+
+@dataclass
+class GraphPropertyTask(_Task):
+    """BFS labels on random graphs of ``n_range`` = [lo, hi] nodes; only erdos-renyi reads ``p``."""
+
+    name, default_counts, roles = "graph-property", (512, 64, 128), ()
+    loss_kind, metric, out_dim, shared_graph = "mse", "log10_mse", 1, False
+    property: str = "sssp"
+    n_range: list = field(default_factory=lambda: [15, 25])
+    model: str = "erdos-renyi"
+    p: float = 0.3
+    m_attach: int = 2
+
+    def _check(self):
+        for what, value, known in (("property task", self.property, PROPERTY_TASKS),
+                                   ("graph model", self.model, GRAPH_MODELS)):
+            if value not in known:
+                raise ValueError(f"unknown {what} {value!r}; known: {', '.join(known)}")
+        if not (isinstance(self.n_range, list) and len(self.n_range) == 2
+                and all(map(is_int, self.n_range)) and 1 <= self.n_range[0] <= self.n_range[1]):
+            raise ValueError(f"n_range {self.n_range} must be two integers [lo, hi], 1 <= lo <= hi")
+        check_real("graph-property task", "p", self.p)
+        if self.model == "erdos-renyi" and not 0 < self.p <= 1:
+            raise ValueError(f"graph-property task p {self.p} must be in (0, 1]")
+        check_int("graph-property task", "m_attach", self.m_attach, 1)
+        self.in_dim = 3 if self.property == "sssp" else 2
+        self.readout = "graph" if self.property == "diameter" else "node"
+        self.max_nodes = self.n_range[1]
+
+    def make(self, seed):
+        return gen_graph_property(self.property, self.n_range, seed, self.model, self.p,
+                                  self.m_attach)
+
+
+#: the task types by ``name``, in the order ``export-mu`` lists their roles
+TASK_TYPES = {t.name: t for t in (RingTask, BarbellTask, GraphPropertyTask)}
+
+
+def task_spec(task_cfg: dict, data_seed: int | None = None) -> _Task:
+    """The typed task of a run-config ``task`` block, whose ``name`` picks the
+    type; ``data_seed``, when given, replaces the block's. No instance is made.
+    A block that is not an object or that the type refuses raises ``ValueError``."""
     if not isinstance(task_cfg, dict):
         raise ValueError(f"task must be a JSON object, got {type(task_cfg).__name__}")
-    cfg = dict(task_cfg)
-    name = cfg.pop("name", None)
-    try:
-        spec = _parse_task(name, cfg, data_seed)
-    except TypeError as exc:  # e.g. int(None) for "n": null
-        raise ValueError(f"{name} task: {exc}") from None
-    if cfg:
-        raise ValueError(f"unknown {name} task keys: {', '.join(sorted(cfg))}")
-    if len(spec.counts) != 3 or min(spec.counts) < 0:
-        raise ValueError(f"{name} task counts {spec.counts} must be three "
-                         "nonnegative split sizes")
-    return spec
-
-
-def _parse_task(name, cfg: dict, data_seed) -> TaskSpec:
-    """The body of :func:`task_spec`; pops every key it knows from ``cfg``."""
-    seed = cfg.pop("data_seed", 777)
-    seed = seed if data_seed is None else data_seed
-    check_int(f"{name} task", "data_seed", seed, 0)
-    counts = cfg.pop("counts", None)
-
-    if name == "barbell":
-        k_path = int(cfg.pop("k_path", 4))
-        if "n_clique" in cfg:
-            n_clique = int(cfg.pop("n_clique"))
-        elif "n" in cfg:
-            total = int(cfg.pop("n"))
-            if (total - k_path) % 2:
-                raise ValueError(f"total size {total} minus bridge {k_path} must be even")
-            n_clique = (total - k_path) // 2
-        else:
-            raise ValueError("barbell task needs n or n_clique")
-        barbell_graph(n_clique, k_path)  # checks the sizes; memoized for the instances
-        counts = [64, 16, 32] if counts is None else counts
-        make = lambda s: gen_barbell(n_clique, k_path, seed=s)
-        kinds = dict(loss_kind="mse", metric="nmse", in_dim=1, out_dim=1,
-                     readout="node", shared_graph=True)
-    elif name == "ring":
-        n = int(cfg.pop("n", 16))
-        classes = int(cfg.pop("classes", 10))
-        noise = float(cfg.pop("noise_scale", 1.0))
-        if classes < 1:
-            raise ValueError(f"ring task classes {classes} must be at least 1")
-        ring_routing_graph(n)  # checks the size; memoized for the instances
-        counts = [256, 64, 128] if counts is None else counts
-        make = lambda s: gen_ring_routing(n, num_classes=classes, seed=s,
-                                          noise_scale=noise)
-        kinds = dict(loss_kind="cross-entropy", metric="accuracy", in_dim=classes,
-                     out_dim=classes, readout="node", shared_graph=True)
-    elif name == "graph-property":
-        prop = cfg.pop("property", "sssp")
-        n_range = cfg.pop("n_range", [15, 25])
-        model = cfg.pop("model", "erdos-renyi")
-        p = float(cfg.pop("p", 0.3))
-        m_attach = int(cfg.pop("m_attach", 2))
-        if prop not in PROPERTY_TASKS:
-            raise ValueError(f"unknown property task {prop!r}; known: {', '.join(PROPERTY_TASKS)}")
-        if model not in GRAPH_MODELS:
-            raise ValueError(f"unknown graph model {model!r}; known: {', '.join(GRAPH_MODELS)}")
-        if model == "erdos-renyi" and not 0.0 < p <= 1.0:
-            raise ValueError(f"graph-property task p {p} must be in (0, 1]")
-        if not 1 <= int(n_range[0]) <= int(n_range[-1]):
-            raise ValueError(f"n_range {n_range} must be [lo, hi] with 1 <= lo <= hi")
-        counts = [512, 64, 128] if counts is None else counts
-        make = lambda s: gen_graph_property(prop, n_range, seed=s, model=model,
-                                            p=p, m_attach=m_attach)
-        kinds = dict(loss_kind="mse", metric="log10_mse",
-                     in_dim=3 if prop == "sssp" else 2, out_dim=1,
-                     readout="graph" if prop == "diameter" else "node",
-                     shared_graph=False)
-    else:
+    name = task_cfg.get("name")
+    if not (isinstance(name, str) and name in TASK_TYPES):
         raise ValueError(f"unknown task {name!r}")
-    return TaskSpec(make, [int(c) for c in counts], seed, kinds)
+    task = config_from_dict(TASK_TYPES[name], {k: v for k, v in task_cfg.items()
+                                               if k != "name"}, f"{name} task")
+    return task if data_seed is None else replace(task, data_seed=data_seed)
 
 
 def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
@@ -248,19 +255,19 @@ def build_dataset(task_cfg: dict, data_seed: int | None = None) -> TaskData:
     Instance i of a split is made from the seed
     ``data_seed * 10**7 + split offset (0, 10**6, 2 * 10**6) + i``.
     """
-    spec = task_spec(task_cfg, data_seed)
-    offsets = (0, 1_000_000, 2_000_000)
-    splits = [[spec.make(spec.seed * 10_000_000 + off + i) for i in range(count)]
-              for off, count in zip(offsets, spec.counts)]
-    if spec.kinds["shared_graph"]:
-        _check_shared_graph(splits)
-    return TaskData(*splits, **spec.kinds)
+    task = task_spec(task_cfg, data_seed)
+    splits = [[task.make(task.data_seed * 10_000_000 + off + i) for i in range(count)]
+              for off, count in zip((0, 1_000_000, 2_000_000), task.counts)]
+    if task.shared_graph and len({id(inst.graph) for split in splits for inst in split}) > 1:
+        raise ValueError(f"{task.name} task instances do not all hold one graph")
+    return TaskData(*splits, **{f.name: getattr(task, f.name) for f in fields(TaskData)[3:]})
 
 
 # --- loss / metric evaluation ---
 
-def _batch_loss(model: MuChebNet, data: TaskData, instances, tape: ad.Tape):
-    """Forward + loss for one batch; returns (loss tensor, predictions, mus)."""
+def _batch_loss(model: MuChebNet, data: TaskData, instances, tape: ad.Tape | None):
+    """Forward + loss for one batch, recorded on ``tape`` unless it is None;
+    returns (loss tensor, predictions, mus)."""
     if data.shared_graph:
         ctx = context_for(instances[0].graph)
         pred, mu = model.forward(tape, ctx, np.stack([inst.X for inst in instances]))
@@ -286,9 +293,8 @@ def _batch_loss(model: MuChebNet, data: TaskData, instances, tape: ad.Tape):
 
 
 def evaluate(model: MuChebNet, data: TaskData, instances) -> dict:
-    """Loss plus task metric on a list of instances (no gradients kept)."""
-    tape = ad.Tape()
-    loss, pred, mu = _batch_loss(model, data, instances, tape)
+    """Loss plus task metric on a list of instances; records no tape."""
+    loss, pred, mu = _batch_loss(model, data, instances, None)
     out = {"loss": float(loss.data)}
     if data.loss_kind == "cross-entropy":
         query = instances[0].meta["query"]
@@ -310,14 +316,10 @@ def _mu_contrast(mu, instances) -> dict:
     """Mean learned potential on clean vs noisy ring paths."""
     if mu is None:
         return {}
-    vals = mu.data if mu.data.ndim == 2 else mu.data[None]
-    clean, noisy = [], []
-    for row, inst in zip(vals, instances):
-        clean.append(row[inst.meta["clean_path"]].mean())
-        noisy.append(row[inst.meta["noisy_path"]].mean())
-    return {"mu_clean_mean": float(np.mean(clean)),
-            "mu_noisy_mean": float(np.mean(noisy)),
-            "mu_contrast": float(np.mean(clean) - np.mean(noisy))}
+    vals = mu.data.reshape(len(instances), -1)
+    clean, noisy = (float(np.mean([v[i.meta[role]].mean() for v, i in zip(vals, instances)]))
+                    for role in RingTask.roles)
+    return {"mu_clean_mean": clean, "mu_noisy_mean": noisy, "mu_contrast": clean - noisy}
 
 
 # --- the training loop ---
@@ -438,8 +440,7 @@ def _dump_mu(model: MuChebNet, data: TaskData, outdir: Path) -> None:
         return
     rows = []
     for inst in data.test[:4]:
-        tape = ad.Tape()
-        _, mu = model.forward(tape, context_for(inst.graph), inst.X)
+        _, mu = model.forward(None, context_for(inst.graph), inst.X)
         rows.append(mu.data.reshape(-1))
     if len({r.size for r in rows}) == 1:
         write_csv_matrix(np.stack(rows).T, outdir / "mu_test_instances.csv")

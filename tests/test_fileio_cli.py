@@ -1,13 +1,14 @@
 """File formats and the command-line surface."""
 import inspect
 import json
+import re
 import warnings
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from be_spectral import build_graph, cli, fileio, gen_barbell, ring_graph
+from be_spectral import build_graph, cli, fileio, gen_barbell, ring_graph, runner
 from be_spectral.cli import main
 from be_spectral.models import ModelConfig, MuChebNet
 from be_spectral.operators import DENSE_LIMIT, SymOperator
@@ -15,7 +16,7 @@ from be_spectral.fileio import (dump_instance, load_checkpoint,
                                 read_csv_matrix, read_edge_list,
                                 save_checkpoint, write_csv_matrix,
                                 write_edge_list)
-from be_spectral.runner import build_dataset
+from be_spectral.runner import RunConfig, build_dataset, task_spec
 from be_spectral.verify import SUITES
 
 TINY_RUN = {"task": {"name": "barbell", "n": 12, "k_path": 4,
@@ -28,6 +29,48 @@ LOOP_FIELD_CASES = {
     "eval-every-zero": {"eval_every": 0}, "eval-every-float": {"eval_every": 2.5},
     "batch-size-negative": {"batch_size": -1}, "batch-size-zero": {"batch_size": 0},
     "epochs-negative": {"epochs": -3}, "seeds-empty": {"seeds": []},
+}
+
+
+# task values the typed task blocks refuse as a config loads: a fractional
+# size, a numeric string, a bool, a malformed n_range or counts, a ring
+# noise scale that is NaN or negative, and graphs above the dense models' cap
+TASK_VALUE_CASES = {
+    "barbell-fractional-n": ({"name": "barbell", "n": 12.9},
+                             "barbell task n 12.9 must be an integer >= 8"),
+    "barbell-fractional-k_path": ({"name": "barbell", "n": 12, "k_path": 4.5},
+                                  "barbell task k_path 4.5 must be an integer >= 1"),
+    "barbell-bool-n": ({"name": "barbell", "n": True},
+                       "barbell task n True must be an integer >= 8"),
+    "barbell-n-and-n_clique": ({"name": "barbell", "n": 12, "n_clique": 4},
+                               "barbell task needs n or n_clique, not both"),
+    "fractional-m_attach": ({"name": "graph-property", "m_attach": 2.5},
+                            "graph-property task m_attach 2.5 must be an integer >= 1"),
+    "fractional-n_range": ({"name": "graph-property", "n_range": [15.7, 25.2]},
+                           "n_range [15.7, 25.2] must be two integers [lo, hi]"),
+    "ring-string-n": ({"name": "ring", "n": "16"},
+                      "ring task n '16' must be an even integer >= 8"),
+    "ring-string-classes": ({"name": "ring", "classes": "3"},
+                            "ring task classes '3' must be an integer >= 1"),
+    "string-p": ({"name": "graph-property", "p": "0.3"},
+                 "graph-property task p '0.3' must be a finite number >= 0"),
+    "fractional-counts": ({"name": "barbell", "n": 12, "counts": [2.5, 1, 1]},
+                          "barbell task counts [2.5, 1, 1] must be three nonnegative"),
+    "one-entry-n_range": ({"name": "graph-property", "n_range": [15]},
+                          "n_range [15] must be two integers [lo, hi]"),
+    "three-entry-n_range": ({"name": "graph-property", "n_range": [15, 20, 25]},
+                            "n_range [15, 20, 25] must be two integers [lo, hi]"),
+    "ring-nan-noise": ({"name": "ring", "noise_scale": float("nan")},
+                       "ring task noise_scale nan must be a finite number >= 0"),
+    "ring-negative-noise": ({"name": "ring", "noise_scale": -1},
+                            "ring task noise_scale -1 must be a finite number >= 0"),
+    "ring-above-cap": ({"name": "ring", "n": 5000},
+                       "ring task graphs reach 5000 nodes; the models are dense, "
+                       "for n <= 4096"),
+    "barbell-above-cap": ({"name": "barbell", "n_clique": 2, "k_path": 5000},
+                          "barbell task graphs reach 5004 nodes"),
+    "graph-property-above-cap": ({"name": "graph-property", "n_range": [15, 4097]},
+                                 "graph-property task graphs reach 4097 nodes"),
 }
 
 
@@ -477,7 +520,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, named", [
         (["--task", "barbell", "--n", "51", "--k-path", "4"], "--task barbell: total size 51"),
-        (["--task", "ring", "--n", "9"], "--task ring: ring routing needs even n"),
+        (["--task", "ring", "--n", "9"], "--task ring: ring task n 9 must be an even integer"),
         (["--task", "barbell", "--count", "0"], "--count 0"),
         (["--task", "graph-property", "--p", "0"],
          "--task graph-property: graph-property task p 0.0 must be in (0, 1]")],
@@ -488,6 +531,12 @@ class TestCli:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and named in err, err
+
+    def test_gen_makes_data_above_the_model_cap(self, tmp_path):
+        # only the dense models are capped: gen makes data at any size
+        out = tmp_path / "data"
+        assert main(["gen", "--task", "ring", "--n", str(DENSE_LIMIT + 4), "--out", str(out)]) == 0
+        assert read_edge_list(out / "instance_0000" / "graph.edges").n == DENSE_LIMIT + 4
 
     def test_gen_without_a_connected_graph(self, tmp_path, capsys):
         out = tmp_path / "data"
@@ -738,6 +787,42 @@ class TestExportMuInputErrors:
         assert all(part in err for part in expected), err
 
 
+    def test_graph_above_dense_limit_exits_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "context_for", lambda g: pytest.fail("model run"))
+        gpath, xpath, out = tmp_path / "g.edges", tmp_path / "x.csv", tmp_path / "mu.csv"
+        write_edge_list(ring_graph(DENSE_LIMIT + 1), gpath)
+        write_csv_matrix(np.ones(DENSE_LIMIT + 1), xpath)
+        assert main(["export-mu", "--checkpoint", str(_checkpoint(tmp_path / "ckpt")),
+                     "--graph", str(gpath), "--X", str(xpath), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert not (tmp_path / "mu.csv.manifest.json").exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert f"--graph {gpath} has n={DENSE_LIMIT + 1}" in err and "n <= 4096" in err, err
+
+    @pytest.mark.parametrize("task", [{"name": "barbell", "n": 12}, {"name": "ring", "n": 8}],
+                             ids=["barbell", "ring"])
+    def test_manifest_role_means_are_the_task_roles(self, tmp_path, task):
+        task = task_spec(task)
+        inst = task.make(0)
+        cfg = ModelConfig(layers=1, K=2, hidden=4, out_dim=task.out_dim)
+        ckpt = save_checkpoint(tmp_path / "ckpt", MuChebNet(task.in_dim, cfg, seed=0).params,
+                               meta={"model": cfg.to_dict(), "in_dim": task.in_dim, "seed": 0})
+        gpath, xpath, out = tmp_path / "g.edges", tmp_path / "x.csv", tmp_path / "mu.csv"
+        write_edge_list(inst.graph, gpath)
+        write_csv_matrix(inst.X, xpath)
+        (tmp_path / "meta.json").write_text(json.dumps(inst.meta))
+        assert main(["export-mu", "--checkpoint", str(ckpt), "--graph", str(gpath),
+                     "--X", str(xpath), "--meta", str(tmp_path / "meta.json"),
+                     "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "mu.csv.manifest.json").read_text())
+        assert [k for k in manifest if k.startswith("mu_mean_")] == [
+            f"mu_mean_{role}" for role in task.roles]
+        mu = read_csv_matrix(out)
+        for role in task.roles:
+            assert manifest[f"mu_mean_{role}"] == float(mu[inst.meta[role]].mean())
+
+
 class TestConfigAndCheckpointInputErrors:
     @pytest.mark.parametrize("case, named", [
         ("run-key", "epochz"), ("model-key", "layrs"), ("mu-key", "hiden"),
@@ -778,10 +863,10 @@ class TestConfigAndCheckpointInputErrors:
         ({"name": "barbel", "n": 12}, "unknown task 'barbel'"),
         ({"name": "barbell", "n": 12, "kpath": 3}, "unknown barbell task keys: kpath"),
         ({"name": "barbell", "n": 13}, "total size 13 minus bridge 4 must be even"),
-        ({"name": "ring", "n": 9}, "ring routing needs even n >= 8"),
+        ({"name": "ring", "n": 9}, "ring task n 9 must be an even integer >= 8"),
         ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
-        ({"name": "ring", "classes": 0}, "ring task classes 0 must be at least 1"),
-        ({"name": "graph-property", "p": 0}, "graph-property task p 0.0 must be in (0, 1]"),
+        ({"name": "ring", "classes": 0}, "ring task classes 0 must be an integer >= 1"),
+        ({"name": "graph-property", "p": 0}, "graph-property task p 0 must be in (0, 1]"),
         ({"name": "barbell", "n": 12, "counts": [0, 2, 2]},
          "barbell task counts [0, 2, 2]: the train and val splits need at least one"),
         ({"name": "barbell", "n": 12, "counts": [4, 0, 2]},
@@ -804,6 +889,28 @@ class TestConfigAndCheckpointInputErrors:
         path.write_text(json.dumps({**TINY_RUN, "task": task}))
         argv = [command, "--config", str(path)]
         if command == "eval":
+            argv += ["--checkpoint", str(_checkpoint(tmp_path / "ckpt"))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"--config {path}: {named}" in err, err
+
+    @pytest.mark.parametrize("task, named", TASK_VALUE_CASES.values(), ids=TASK_VALUE_CASES)
+    @pytest.mark.parametrize("route", ["from_dict", "train", "eval"])
+    def test_task_value_refused_before_any_data(self, tmp_path, capsys, monkeypatch, route,
+                                                task, named):
+        for gen in ("gen_barbell", "gen_ring_routing", "gen_graph_property"):
+            monkeypatch.setattr(runner, gen, lambda *a, **k: pytest.fail("data made"))
+        monkeypatch.setattr(cli, "train_multi", lambda *a, **k: pytest.fail("trained"))
+        config = {**TINY_RUN, "task": task}
+        if route == "from_dict":
+            with pytest.raises(ValueError, match=re.escape(named)) as exc:
+                RunConfig.from_dict(config)
+            assert "\n" not in str(exc.value)
+            return
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv = [route, "--config", str(path)]
+        if route == "eval":
             argv += ["--checkpoint", str(_checkpoint(tmp_path / "ckpt"))]
         assert main(argv) == 2
         err = capsys.readouterr().err

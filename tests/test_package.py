@@ -1,6 +1,7 @@
 """Package-wide structure: every public export has a caller inside the package,
-every exception class in ``errors`` is raised by some module, and the modules
-import each other at the top only, without a cycle."""
+every exception class in ``errors`` is raised by some module, the modules
+import each other at the top only, without a cycle, and ``runner`` converts no
+config value read from a mapping."""
 import ast
 from pathlib import Path
 
@@ -89,3 +90,20 @@ def test_every_error_class_is_raised_in_the_package():
     defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
     raised = set().union(*map(_raised_names, _other_modules("errors.py")))
     assert sorted(defined - raised) == []
+
+
+def _reads_a_mapping(node: ast.AST) -> bool:
+    """``x[...]``, ``x.pop(...)`` or ``x.get(...)``."""
+    return isinstance(node, ast.Subscript) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("pop", "get"))
+
+
+def test_runner_converts_no_value_read_from_a_mapping():
+    # config values are typed and checked as they load; int() or float() on
+    # a value read from a block would truncate 12.9 to 12 or accept "16"
+    tree = ast.parse((PACKAGE / "runner.py").read_text())
+    found = [f"runner.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in ("int", "float") and any(map(_reads_a_mapping, node.args))]
+    assert found == []

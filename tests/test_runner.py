@@ -53,10 +53,12 @@ class TestBuildDataset:
         g = graph()
         assert all(inst.graph is g for inst in data.train + data.val + data.test)
 
-    def test_shared_graph_mismatch_rejected(self):
-        splits = [[gen_barbell(5, 2, seed=0)], [gen_barbell(6, 2, seed=1)]]
-        with pytest.raises(ValueError, match="val instance 0"):
-            runner._check_shared_graph(splits)
+    def test_shared_graph_mismatch_rejected(self, monkeypatch):
+        # a val instance on a graph of its own breaks the one shared graph
+        monkeypatch.setattr(runner, "gen_barbell", lambda n_clique, k_path, seed: gen_barbell(
+            n_clique + (seed == 1_000_000), k_path, seed))
+        with pytest.raises(ValueError, match="do not all hold one graph"):
+            build_dataset({"name": "barbell", "n": 12, "counts": [1, 1, 1], "data_seed": 0})
 
     def test_barbell_odd_total_rejected(self):
         with pytest.raises(ValueError, match="even"):
@@ -185,16 +187,16 @@ class TestTrainRun:
         ({"name": "barbell", "n": 12, "kpath": 3}, "unknown barbell task keys: kpath"),
         ({"name": "barbell", "n": 13}, "total size 13 minus bridge 4 must be even"),
         ({"name": "barbell"}, "barbell task needs n or n_clique"),
-        ({"name": "barbell", "n": 6, "k_path": 4}, "bell size must be >= 2"),
-        ({"name": "ring", "n": 9}, "ring routing needs even n >= 8"),
-        ({"name": "ring", "n": None}, "ring task: int"),
+        ({"name": "barbell", "n": 6, "k_path": 4}, "barbell task n 6 must be an integer >= 8"),
+        ({"name": "ring", "n": 9}, "ring task n 9 must be an even integer >= 8"),
+        ({"name": "ring", "n": None}, "ring task n None must be an even integer >= 8"),
         ({"name": "ring", "counts": [4, 2]}, r"ring task counts \[4, 2\]"),
         ({"name": "ring", "counts": [4, -1, 2]}, "nonnegative"),
         ({"name": "graph-property", "property": "girth"}, "unknown property task 'girth'"),
         ({"name": "graph-property", "model": "watts"}, "unknown graph model 'watts'"),
         ({"name": "graph-property", "n_range": [9, 4]}, r"n_range \[9, 4\]"),
-        ({"name": "ring", "classes": 0}, "ring task classes 0 must be at least 1"),
-        ({"name": "graph-property", "p": 0}, r"p 0.0 must be in \(0, 1\]"),
+        ({"name": "ring", "classes": 0}, "ring task classes 0 must be an integer >= 1"),
+        ({"name": "graph-property", "p": 0}, r"p 0 must be in \(0, 1\]"),
         ({"name": "graph-property", "p": 1.5}, r"p 1.5 must be in \(0, 1\]"),
         (["barbell"], "task must be a JSON object, got list"),
     ], ids=["name", "key", "odd-barbell", "no-size", "one-node-bells", "odd-ring", "null",
@@ -259,13 +261,14 @@ class TestTrainRun:
 
 
     def test_steps_freed_without_cyclic_collector(self, monkeypatch):
-        # tensors refer to their tape weakly, so every train step and every
-        # evaluate frees its tape and arrays by reference counting alone
+        # tensors refer to their tape weakly, so every train step frees its
+        # tape and arrays, and every evaluate (which records no tape) its
+        # arrays, by reference counting alone
         refs = []
 
         def batch_loss(model, data, instances, tape, _orig=runner._batch_loss):
             out = _orig(model, data, instances, tape)
-            refs.append((weakref.ref(tape), weakref.ref(out[0].data)))
+            refs.append([weakref.ref(x) for x in (tape, out[0].data) if x is not None])
             return out
 
         monkeypatch.setattr(runner, "_batch_loss", batch_loss)
@@ -277,7 +280,7 @@ class TestTrainRun:
         finally:
             if enabled:
                 gc.enable()
-        assert len(refs) == 6  # two steps and two evals, then final val and test
+        assert [len(r) for r in refs] == [2, 1, 2, 1, 1, 1]  # steps, evals, val and test
         assert not alive
 
     def test_one_training_step_alive_at_a_time(self, monkeypatch):
@@ -288,7 +291,7 @@ class TestTrainRun:
         def batch_loss(model, data, instances, tape, _orig=runner._batch_loss):
             alive_at_entry.append(sum(r() is not None for r in earlier))
             out = _orig(model, data, instances, tape)
-            earlier.extend([weakref.ref(tape), weakref.ref(out[0].data)])
+            earlier.extend(weakref.ref(x) for x in (tape, out[0].data) if x is not None)
             return out
 
         def backward(tape, loss, _orig=ad.backward):
@@ -399,6 +402,38 @@ class TestRingTraining:
 
 
 class TestEvaluateDirect:
+    @pytest.mark.parametrize("task", [
+        {"name": "barbell", "n": 12},
+        {"name": "ring", "n": 8},
+        {"name": "graph-property", "n_range": [6, 9]},
+    ], ids=["barbell", "ring", "sssp"])
+    def test_evaluate_records_no_tape(self, monkeypatch, task):
+        # inference binds the parameters as constants: no node is recorded,
+        # and the metrics equal those of a forward recorded on a tape
+        data = build_dataset({**task, "counts": [1, 3, 1], "data_seed": 2})
+        mcfg = ModelConfig(layers=1, K=3, hidden=4, out_dim=data.out_dim,
+                           readout=data.readout)
+        model = MuChebNet(data.in_dim, mcfg, seed=0)
+        seen = []
+
+        def batch_loss(model, data, instances, tape, _orig=runner._batch_loss):
+            out = _orig(model, data, instances, tape)
+            seen.append((tape, out[0].requires_grad))
+            return out
+
+        monkeypatch.setattr(runner, "_batch_loss", batch_loss)
+        got = evaluate(model, data, data.val)
+        assert seen == [(None, False)]
+        tapes = []
+
+        def taped(model, data, instances, tape, _orig=runner._batch_loss):
+            tapes.append(ad.Tape())
+            return _orig(model, data, instances, tapes[-1])
+
+        monkeypatch.setattr(runner, "_batch_loss", taped)
+        assert repr(evaluate(model, data, data.val)) == repr(got)
+        assert tapes[0]._nodes
+
     def test_untrained_barbell_nmse_lands_in_failure_bands(self):
         # an untrained model carries no cross-bridge information, so its
         # normalized error sits at or above the oversquashing anchor
