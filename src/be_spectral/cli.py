@@ -32,11 +32,13 @@ class _InputError(Exception):
 
 
 def _read(flag: str, path, reader):
-    """``reader(path)``; a missing file or a ``ValueError`` is one line naming ``flag``."""
+    """``reader(path)``; an ``OSError`` or a ``ValueError`` is one line naming ``flag``."""
     try:
         return reader(path)
     except FileNotFoundError:
         raise _InputError(f"{flag} {path}: no such file") from None
+    except OSError as exc:  # a directory, or a file that cannot be opened
+        raise _InputError(f"{flag} {path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # the fileio readers' messages start with the path
         msg = str(exc) if str(exc).startswith(f"{path}:") else f"{path}: {exc}"
         raise _InputError(f"{flag} {msg}") from None
@@ -205,12 +207,12 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_from_checkpoint(ckpt_dir):
-    """The checkpointed model; its manifest ``meta`` needs ``model`` and ``in_dim``."""
-    params, meta = load_checkpoint(ckpt_dir)
+def _model_from_checkpoint(path):
+    """The checkpointed model; its ``meta`` needs ``model`` and ``in_dim``."""
+    params, meta = load_checkpoint(path)
     if "model" not in meta:
-        raise ValueError("manifest meta has no model block")
-    check_int("manifest meta", "in_dim", meta.get("in_dim"), 1)
+        raise ValueError(f"{path}: meta has no model block")
+    check_int(f"{path}: meta", "in_dim", meta.get("in_dim"), 1)
     model = MuChebNet(meta["in_dim"], ModelConfig.from_dict(meta["model"]))  # weights loaded below
     model.load_params(params)
     return model

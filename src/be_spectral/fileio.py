@@ -3,8 +3,9 @@
 Edge lists are one ``i j`` pair per line (0-based, whitespace separated,
 ``#`` starts a comment); the node count is the largest index plus one
 unless passed explicitly. Signals are plain CSV, one node per row.
-Checkpoints are a JSON manifest plus one raw little-endian float64 blob
-per parameter tensor.
+A checkpoint is one ``.npz`` archive: each parameter a ``<f8`` member, the
+meta one JSON string, the whole file published by one ``os.replace`` and
+read back with every member's CRC-32 checked.
 
 Each text file is parsed by one ``np.loadtxt`` call. The writers format a
 block of rows per ``%`` call and write the bytes of one ``"i j"`` line per
@@ -13,7 +14,9 @@ edge and of ``np.savetxt(fmt="%.17g")``.
 from __future__ import annotations
 
 import json
+import os
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ import numpy as np
 from .graphs import Graph, build_graph
 
 _BLOCK_VALUES = 1 << 15  # values formatted per write call; bounds the transient text
+_META = "__meta__"  # the checkpoint member holding the meta JSON
 
 
 def _edge_rows(source) -> np.ndarray | None:
@@ -82,66 +86,51 @@ def write_csv_matrix(arr: np.ndarray, path, header: str | None = None) -> None:
                 f"{header}\n" if header else "")
 
 
-def save_checkpoint(directory, params: dict, meta: dict | None = None) -> Path:
-    """Write a manifest + one .bin blob per parameter; returns the directory."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for idx, (name, value) in enumerate(sorted(params.items())):
-        value = np.asarray(value, dtype=np.float64)
-        fname = f"param_{idx:04d}.bin"
-        (directory / fname).write_bytes(value.astype("<f8").tobytes())
-        entries.append({"name": name, "shape": list(value.shape),
-                        "dtype": "<f8", "file": fname})
-    manifest = {"format": "be-spectral-checkpoint/1", "tensors": entries,
-                "meta": meta or {}}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    return directory
-
-
-def _is_tensor_entry(entry) -> bool:
-    """A manifest ``tensors`` entry: name, shape of sizes, blob named in the directory."""
-    if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("shape"), list) and isinstance(entry.get("file"), str)):
-        return False
-    file = entry["file"]
-    return (Path(file).name == file and file not in ("", ".", "..")
-            and all(isinstance(s, int) and not isinstance(s, bool) and s >= 0
-                    for s in entry["shape"]))
-
-
-def load_checkpoint(directory):
-    """Returns (params dict, meta dict).
-
-    The manifest must be a JSON object with a ``tensors`` list of
-    ``{"name", "shape", "file"}`` objects, ``file`` a plain file name in
-    the directory, and an optional ``meta`` object; otherwise ``ValueError``
-    names the manifest. A missing or wrong-sized blob raises ``ValueError``
-    naming the blob.
-    """
-    directory = Path(directory)
-    mpath = directory / "manifest.json"
+def save_checkpoint(path, params: dict, meta: dict | None = None) -> Path:
+    """Write ``params`` as ``<f8`` members and ``meta`` as JSON under ``__meta__`` to one
+    ``.npz``: a temporary file beside ``path``, flushed to disk, then one ``os.replace``,
+    so ``path`` holds the old checkpoint or the new one, never a mix; returns ``path``."""
+    path = Path(path)
+    taken = sorted(set(params) & {_META, "file", "allow_pickle"})  # np.savez's own keywords
+    if taken:
+        raise ValueError(f"parameter names {taken} are reserved in a checkpoint")
+    members = {name: np.asarray(value, dtype="<f8") for name, value in params.items()}
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        manifest = json.loads(mpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{mpath}: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{mpath}: not a JSON object")
-    tensors, meta = manifest.get("tensors"), manifest.get("meta", {})
-    if not isinstance(tensors, list) or not isinstance(meta, dict):
-        raise ValueError(f"{mpath}: needs a 'tensors' list and a 'meta' object")
-    params = {}
-    for i, entry in enumerate(tensors):
-        if not _is_tensor_entry(entry):
-            raise ValueError(f"{mpath}: tensors[{i}] is not a name, a shape and a file "
-                             "name inside the directory")
-        path, shape = directory / entry["file"], tuple(entry["shape"])
-        if not path.is_file():
-            raise ValueError(f"{path}: no such file, named by {mpath}")
-        raw, need = path.read_bytes(), 8 * int(np.prod(shape))
-        if len(raw) != need:
-            raise ValueError(f"{path}: {len(raw)} bytes, shape {shape} needs {need}")
-        params[entry["name"]] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **members, **{_META: np.array(json.dumps(meta or {}))})
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def load_checkpoint(path):
+    """Returns (params dict, meta dict) from a :func:`save_checkpoint` file. Every
+    member is read, so zipfile checks each one's CRC-32, and nothing is unpickled.
+    ``ValueError`` names the file when it is a directory or not an intact ``.npz``,
+    when ``__meta__`` is not a JSON object and when a parameter is not float64."""
+    if Path(path).is_dir():
+        raise ValueError(f"{path}: a directory, not a .npz checkpoint")
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":  # every .npz starts with the zip magic
+            raise ValueError(f"{path}: not a .npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as npz:
+                params = {name: npz[name] for name in npz.files}
+            meta = json.loads(str(params.pop(_META, "null")))
+        except (EOFError, NotImplementedError, OSError, ValueError,
+                zipfile.BadZipFile) as exc:  # a torn or corrupt archive, a bad CRC-32
+            raise ValueError(f"{path}: not an intact .npz archive ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: needs a {_META!r} member holding a JSON object")
+    for name, value in params.items():
+        if getattr(value, "dtype", None) != np.dtype("<f8"):
+            raise ValueError(f"{path}: parameter {name!r} is not a float64 array")
     return params, meta
 
 

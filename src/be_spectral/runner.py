@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import multiprocessing
 import os
 import sys
 import time
@@ -222,6 +223,9 @@ class GraphPropertyTask(_Task):
         if self.model == "erdos-renyi" and not 0 < self.p <= 1:
             raise ValueError(f"graph-property task p {self.p} must be in (0, 1]")
         check_int("graph-property task", "m_attach", self.m_attach, 1)
+        if self.model == "barabasi-albert" and self.m_attach >= self.n_range[0]:
+            raise ValueError(f"graph-property task m_attach {self.m_attach} must be below "
+                             f"n_range[0] {self.n_range[0]} for barabasi-albert")
         self.in_dim = 3 if self.property == "sssp" else 2
         self.readout = "graph" if self.property == "diameter" else "node"
         self.max_nodes = self.n_range[1]
@@ -425,7 +429,7 @@ def train_run(config: RunConfig, seed: int, outdir: Path | None = None) -> dict:
         with open(outdir / "metrics.jsonl", "w") as fh:
             for row in history:
                 fh.write(json.dumps(row) + "\n")
-        ckpt = save_checkpoint(outdir / "checkpoint", model.params,
+        ckpt = save_checkpoint(outdir / "checkpoint.npz", model.params,
                                meta={"model": mcfg.to_dict(),
                                      "in_dim": data.in_dim, "seed": seed})
         record["checkpoint"] = str(ckpt)
@@ -469,7 +473,8 @@ def train_multi(config: RunConfig, parallel: bool = False) -> dict:
              str(outbase / f"seed{s}") if outbase else None)
             for s in config.seeds]
     if parallel and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(worker_count(), len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(worker_count(), len(jobs)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
             records = list(pool.map(_train_seed_worker, *zip(*jobs)))
     else:
         records = [_train_seed_worker(*j) for j in jobs]

@@ -34,7 +34,8 @@ LOOP_FIELD_CASES = {
 
 # task values the typed task blocks refuse as a config loads: a fractional
 # size, a numeric string, a bool, a malformed n_range or counts, a ring
-# noise scale that is NaN or negative, and graphs above the dense models' cap
+# noise scale that is NaN or negative, a barabasi-albert m_attach that the
+# smallest graph cannot take, and graphs above the dense models' cap
 TASK_VALUE_CASES = {
     "barbell-fractional-n": ({"name": "barbell", "n": 12.9},
                              "barbell task n 12.9 must be an integer >= 8"),
@@ -46,6 +47,9 @@ TASK_VALUE_CASES = {
                                "barbell task needs n or n_clique, not both"),
     "fractional-m_attach": ({"name": "graph-property", "m_attach": 2.5},
                             "graph-property task m_attach 2.5 must be an integer >= 1"),
+    "barabasi-albert-m_attach-not-below-n": (
+        {"name": "graph-property", "model": "barabasi-albert", "n_range": [5, 9], "m_attach": 5},
+        "graph-property task m_attach 5 must be below n_range[0] 5 for barabasi-albert"),
     "fractional-n_range": ({"name": "graph-property", "n_range": [15.7, 25.2]},
                            "n_range [15.7, 25.2] must be two integers [lo, hi]"),
     "ring-string-n": ({"name": "ring", "n": "16"},
@@ -74,12 +78,101 @@ TASK_VALUE_CASES = {
 }
 
 
-def _checkpoint(directory, cfg=None, params=None):
+# the file flags of the commands, as "[command] flag"
+INPUT_FLAGS = ["--graph", "--mu", "--f0", "--X", "--coeffs", "train --config", "eval --config",
+               "eval --checkpoint", "export-mu --checkpoint", "export-mu --meta"]
+
+
+def _argv_naming(tmp_path, flag, bad):
+    """A command line whose ``flag`` names ``bad`` and whose other inputs are usable."""
+    gpath, six, theta = tmp_path / "g.edges", tmp_path / "six.csv", tmp_path / "theta.csv"
+    write_edge_list(ring_graph(6), gpath)
+    write_csv_matrix(np.ones(6), six)
+    write_csv_matrix(np.ones(2), theta)
+    config, ckpt = tmp_path / "run.json", _checkpoint(tmp_path / "ckpt")
+    config.write_text(json.dumps(TINY_RUN))
+    export = ["export-mu", "--graph", str(gpath), "--X", str(six)]
+    return {"--graph": ["spectrum", "--graph", str(bad)],
+            "--mu": ["spectrum", "--graph", str(gpath), "--mu", str(bad)],
+            "--f0": ["diffuse", "--graph", str(gpath), "--t", "1.0", "--f0", str(bad)],
+            "--X": ["filter", "--graph", str(gpath), "--coeffs", str(theta), "--X", str(bad)],
+            "--coeffs": ["filter", "--graph", str(gpath), "--coeffs", str(bad),
+                         "--X", str(six)],
+            "train --config": ["train", "--config", str(bad)],
+            "eval --config": ["eval", "--config", str(bad), "--checkpoint", str(ckpt)],
+            "eval --checkpoint": ["eval", "--config", str(config), "--checkpoint", str(bad)],
+            "export-mu --checkpoint": export + ["--checkpoint", str(bad)],
+            "export-mu --meta": export + ["--checkpoint", str(ckpt), "--meta", str(bad)]}[flag]
+
+
+def _checkpoint(path, cfg=None, params=None):
     """A checkpoint of an untrained one-input model (``params`` overrides its tensors)."""
     cfg = cfg or ModelConfig(layers=1, K=2, hidden=4)
     model = MuChebNet(1, cfg, seed=0)
-    return save_checkpoint(directory, model.params if params is None else params,
+    return save_checkpoint(path, model.params if params is None else params,
                            meta={"model": cfg.to_dict(), "in_dim": 1, "seed": 0})
+
+
+def _edit_meta(path, edit):
+    """Save the checkpoint at ``path`` again after ``edit(meta)``."""
+    params, meta = load_checkpoint(path)
+    edit(meta)
+    save_checkpoint(path, params, meta)
+
+
+def _flip_a_data_byte(path):
+    """Flip one bit inside the data of the checkpoint's first parameter."""
+    params, _ = load_checkpoint(path)
+    raw = bytearray(path.read_bytes())
+    at = raw.find(next(iter(params.values())).tobytes())
+    assert at > 0
+    raw[at + 3] ^= 0x10
+    path.write_bytes(bytes(raw))
+
+
+def _savez(path, meta="{}", dtype="<f8"):
+    """``_checkpoint``'s parameters as ``dtype`` in an ``.npz``, with ``meta`` unless None."""
+    model = MuChebNet(1, ModelConfig(layers=1, K=2, hidden=4), seed=0)
+    members = {k: v.astype(dtype) for k, v in model.params.items()}
+    if meta is not None:
+        members["__meta__"] = np.array(meta)
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def _bare_npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.ones(3))
+
+
+def _saved_then(edit):
+    """Make ``_checkpoint`` at a path, then ``edit`` its meta."""
+    return lambda path: _edit_meta(_checkpoint(path), edit)
+
+
+_MODEL_META = json.dumps({"model": ModelConfig(layers=1, K=2, hidden=4).to_dict(), "in_dim": 1})
+
+# files a checkpoint reader refuses: case -> (make it at the path, what the error says)
+CHECKPOINT_REFUSALS = {
+    "flipped-byte": (lambda p: _flip_a_data_byte(_checkpoint(p)),
+                     "not an intact .npz archive (Bad CRC-32 for file"),
+    "truncated": (lambda p: p.write_bytes(_checkpoint(p).read_bytes()[:-100]),
+                  "not an intact .npz archive"),
+    "csv": (lambda p: write_csv_matrix(np.ones((3, 2)), p), "not a .npz archive"),
+    "bare-npy": (_bare_npy, "not a .npz archive"),
+    "no-meta": (lambda p: _savez(p, meta=None),
+                "needs a '__meta__' member holding a JSON object"),
+    "meta-list": (lambda p: _savez(p, meta="[1]"),
+                  "needs a '__meta__' member holding a JSON object"),
+    "meta-no-model": (_saved_then(lambda m: m.pop("model")), "meta has no model block"),
+    "meta-no-in_dim": (_saved_then(lambda m: m.pop("in_dim")),
+                       "meta in_dim None must be an integer >= 1"),
+    "meta-null-in_dim": (_saved_then(lambda m: m.update(in_dim=None)),
+                         "meta in_dim None must be an integer >= 1"),
+    "float32-parameter": (lambda p: _savez(p, meta=_MODEL_META, dtype="<f4"),
+                          "is not a float64 array"),
+    "directory": (lambda p: p.mkdir(), "a directory, not a .npz checkpoint"),
+}
 
 
 class TestEdgeListFormat:
@@ -189,57 +282,35 @@ class TestCsvAndCheckpoints:
         for k in params:
             npt.assert_array_equal(loaded[k], params[k])
 
-    def test_checkpoint_blob_of_wrong_size(self, tmp_path):
-        save_checkpoint(tmp_path / "ckpt", {"a": np.zeros((2, 3)), "b": np.ones(4)})
-        blob = tmp_path / "ckpt" / "param_0000.bin"
-        blob.write_bytes(blob.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="param_0000.bin: 40 bytes, shape \\(2, 3\\) needs 48"):
-            load_checkpoint(tmp_path / "ckpt")
+    def test_checkpoint_is_one_file(self, tmp_path):
+        path = save_checkpoint(tmp_path / "ckpt.npz", {"a": np.zeros((2, 3))}, meta={"v": 1})
+        assert path == tmp_path / "ckpt.npz" and path.is_file()
+        assert sorted(tmp_path.iterdir()) == [path]
 
-    MALFORMED_MANIFESTS = {  # case: what the error names
-        "list": "manifest.json: not a JSON object",
-        "no-tensors": "manifest.json: needs a 'tensors' list and a 'meta' object",
-        "meta-list": "manifest.json: needs a 'tensors' list and a 'meta' object",
-        "entry-not-object": r"manifest.json: tensors\[1\] is not",
-        "entry-no-shape": r"manifest.json: tensors\[0\] is not",
-        "negative-size": r"manifest.json: tensors\[0\] is not",
-        "file-outside": r"manifest.json: tensors\[0\] is not",
-        "file-in-subdir": r"manifest.json: tensors\[0\] is not",
-        "file-dotdot": r"manifest.json: tensors\[0\] is not",
-        "not-json": "manifest.json: Expecting",
-        "missing-blob": "param_0001.bin: no such file, named by .*manifest.json",
-    }
+    def test_checkpoint_save_that_raises_keeps_the_old_one(self, tmp_path, monkeypatch):
+        old = {"a": np.arange(6.0).reshape(2, 3), "b": np.linspace(0.1, 0.7, 4)}
+        path = save_checkpoint(tmp_path / "ckpt.npz", old, meta={"v": 1})
+        write_array, written = np.lib.format.write_array, []
 
-    @pytest.mark.parametrize("case", MALFORMED_MANIFESTS)
-    def test_malformed_manifest(self, tmp_path, case):
-        ckpt = save_checkpoint(tmp_path / "ckpt", {"a": np.zeros((2, 3)), "b": np.ones(4)})
-        (tmp_path / "x").write_bytes(bytes(48))  # a blob outside the checkpoint
-        manifest = json.loads((ckpt / "manifest.json").read_text())
-        entry = manifest["tensors"][0]
-        if case == "list":
-            manifest = [manifest]
-        elif case == "no-tensors":
-            del manifest["tensors"]
-        elif case == "meta-list":
-            manifest["meta"] = []
-        elif case == "entry-not-object":
-            manifest["tensors"][1] = "b"
-        elif case == "entry-no-shape":
-            del entry["shape"]
-        elif case == "negative-size":
-            entry["shape"] = [-2, -3]
-        elif case == "file-outside":
-            entry["file"] = "../x"
-        elif case == "file-in-subdir":
-            entry["file"] = "sub/param_0000.bin"
-        elif case == "file-dotdot":
-            entry["file"] = ".."
-        elif case == "missing-blob":
-            (ckpt / "param_0001.bin").unlink()
-        text = "{" if case == "not-json" else json.dumps(manifest)
-        (ckpt / "manifest.json").write_text(text)
-        with pytest.raises(ValueError, match=self.MALFORMED_MANIFESTS[case]):
-            load_checkpoint(ckpt)
+        def fail_after_first_member(*args, **kwargs):
+            if written:
+                raise OSError("disk full")
+            written.append(write_array(*args, **kwargs))
+
+        monkeypatch.setattr(np.lib.format, "write_array", fail_after_first_member)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {k: -v for k, v in old.items()}, meta={"v": 2})
+        monkeypatch.undo()
+        assert written and sorted(tmp_path.iterdir()) == [path]  # no temporary file left
+        params, meta = load_checkpoint(path)
+        assert meta == {"v": 1} and set(params) == set(old)
+        assert all(params[k].tobytes() == old[k].tobytes() for k in old)
+
+    @pytest.mark.parametrize("name", ["__meta__", "file", "allow_pickle"])
+    def test_checkpoint_refuses_a_reserved_name(self, tmp_path, name):
+        with pytest.raises(ValueError, match=f"parameter names \\['{name}'\\] are reserved"):
+            save_checkpoint(tmp_path / "ckpt.npz", {name: np.zeros(2)})
+        assert list(tmp_path.iterdir()) == []
 
     def test_instance_dump(self, tmp_path):
         inst = gen_barbell(3, 2, seed=0)
@@ -448,41 +519,27 @@ class TestCli:
         assert err.count("\n") == 1 and f"{flag} {bad}:" in err, err
         assert value is None or "data row 3 holds a non-finite value" in err, err
 
-    @pytest.mark.parametrize("flag", ["--graph", "--mu", "--f0", "--X", "--coeffs",
-                                      "train --config", "eval --config",
-                                      "eval --checkpoint", "export-mu --checkpoint",
-                                      "export-mu --meta"])
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
     def test_missing_input_file(self, tmp_path, capsys, flag):
-        gpath, missing = tmp_path / "g.edges", tmp_path / "missing.csv"
-        write_edge_list(ring_graph(6), gpath)
-        six, theta = tmp_path / "six.csv", tmp_path / "theta.csv"
-        write_csv_matrix(np.ones(6), six)
-        write_csv_matrix(np.ones(2), theta)
-        config, ckpt = tmp_path / "run.json", _checkpoint(tmp_path / "ckpt")
-        config.write_text(json.dumps(TINY_RUN))
-        export = ["export-mu", "--graph", str(gpath), "--X", str(six)]
-        out = tmp_path / "out.csv"
-        argv = {"--graph": ["spectrum", "--graph", str(missing)],
-                "--mu": ["spectrum", "--graph", str(gpath), "--mu", str(missing)],
-                "--f0": ["diffuse", "--graph", str(gpath), "--t", "1.0",
-                         "--f0", str(missing)],
-                "--X": ["filter", "--graph", str(gpath), "--coeffs", str(theta),
-                        "--X", str(missing)],
-                "--coeffs": ["filter", "--graph", str(gpath), "--coeffs", str(missing),
-                             "--X", str(six)],
-                "train --config": ["train", "--config", str(missing)],
-                "eval --config": ["eval", "--config", str(missing),
-                                  "--checkpoint", str(ckpt)],
-                "eval --checkpoint": ["eval", "--config", str(config),
-                                      "--checkpoint", str(missing)],
-                "export-mu --checkpoint": export + ["--checkpoint", str(missing)],
-                "export-mu --meta": export + ["--checkpoint", str(ckpt),
-                                              "--meta", str(missing)]}[flag]
-        assert main(argv + ["--out", str(out)]) == 2
+        missing, out = tmp_path / "missing.csv", tmp_path / "out.csv"
+        assert main(_argv_naming(tmp_path, flag, missing) + ["--out", str(out)]) == 2
         assert not out.exists()
         err = capsys.readouterr().err
         flag = flag.split()[-1]
         assert err.count("\n") == 1 and f"{flag} {missing}: no such file" in err, err
+
+    @pytest.mark.parametrize("flag", INPUT_FLAGS)
+    def test_directory_input(self, tmp_path, capsys, flag):
+        # a directory where a file belongs, such as a checkpoint directory of the
+        # earlier manifest format, is one line naming the flag, not a traceback
+        folder, out = tmp_path / "folder", tmp_path / "out.csv"
+        folder.mkdir()
+        assert main(_argv_naming(tmp_path, flag, folder) + ["--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        flag = flag.split()[-1]
+        named = "a directory, not a .npz checkpoint" if flag == "--checkpoint" else "Is a directory"
+        assert err.count("\n") == 1 and f"{flag} {folder}: {named}\n" == err, err
 
     @pytest.mark.parametrize("K", [None, "0"])
     def test_empty_coeffs_file(self, tmp_path, capsys, K):
@@ -712,14 +769,15 @@ class TestTrainEvalExportCli:
         assert (outdir / "summary.json").exists()
         seed_dir = outdir / "seed0"
         assert (seed_dir / "metrics.jsonl").exists()
-        assert (seed_dir / "checkpoint" / "manifest.json").exists()
+        assert (seed_dir / "checkpoint.npz").is_file()
         assert (seed_dir / "mu_test_instances.csv").exists()
         record = json.loads((seed_dir / "record.json").read_text())
+        assert record["checkpoint"] == str(seed_dir / "checkpoint.npz")
         assert record["epochs_run"] == 3
         assert "nmse" in record["test"]
 
         assert main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(seed_dir / "checkpoint"),
+                     "--checkpoint", str(seed_dir / "checkpoint.npz"),
                      "--out", str(tmp_path / "eval.json")]) == 0
         ev = json.loads((tmp_path / "eval.json").read_text())
         assert ev["nmse"] == pytest.approx(record["test"]["nmse"])
@@ -729,7 +787,7 @@ class TestTrainEvalExportCli:
         write_edge_list(inst.graph, gpath)
         write_csv_matrix(inst.X, tmp_path / "x.csv")
         (tmp_path / "meta.json").write_text(json.dumps(inst.meta))
-        assert main(["export-mu", "--checkpoint", str(seed_dir / "checkpoint"),
+        assert main(["export-mu", "--checkpoint", str(seed_dir / "checkpoint.npz"),
                      "--graph", str(gpath), "--X", str(tmp_path / "x.csv"),
                      "--meta", str(tmp_path / "meta.json"),
                      "--out", str(tmp_path / "mu.csv")]) == 0
@@ -1032,11 +1090,34 @@ class TestConfigAndCheckpointInputErrors:
         assert err.count("\n") == 1 and f"--checkpoint {ckpt} does not fit" in err, err
         assert named in err, err
 
+    @pytest.mark.parametrize("case", CHECKPOINT_REFUSALS)
+    @pytest.mark.parametrize("route", ["load", "eval", "export-mu"])
+    def test_checkpoint_file_refused(self, tmp_path, capsys, route, case):
+        make, named = CHECKPOINT_REFUSALS[case]
+        ckpt = tmp_path / "ckpt.npz"
+        make(ckpt)
+        if route == "load":  # the meta fields are the model's, checked as it is built
+            reader = cli._model_from_checkpoint if case.startswith("meta-") else load_checkpoint
+            with pytest.raises(ValueError, match=re.escape(f"{ckpt}: ")) as exc:
+                reader(ckpt)
+            assert named in str(exc.value) and "\n" not in str(exc.value)
+            return
+        gpath, xpath, config = tmp_path / "g.edges", tmp_path / "x.csv", tmp_path / "run.json"
+        write_edge_list(ring_graph(6), gpath)
+        write_csv_matrix(np.ones(6), xpath)
+        config.write_text(json.dumps(TINY_RUN))
+        out = tmp_path / "out.json"
+        argv = {"eval": ["eval", "--config", str(config)],
+                "export-mu": ["export-mu", "--graph", str(gpath), "--X", str(xpath)]}[route]
+        assert main(argv + ["--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"--checkpoint {ckpt}: "), err
+        assert named in err, err
+
     @pytest.mark.parametrize("command, case", [
         (command, case) for command in ("eval", "export-mu")
-        for case in ("shape", "names", "meta", "manifest-empty", "manifest-list",
-                     "no-meta-model", "no-meta-in_dim", "null-in_dim", "missing-blob",
-                     "blob-outside")] + [("export-mu", "no-parameterizer")])
+        for case in ("shape", "names", "meta")] + [("export-mu", "no-parameterizer")])
     def test_checkpoint_the_command_cannot_use(self, tmp_path, capsys, command, case):
         params = MuChebNet(1, ModelConfig(layers=1, K=2, hidden=4), seed=0).params
         if case == "shape":
@@ -1044,27 +1125,9 @@ class TestConfigAndCheckpointInputErrors:
                                params=params)
         elif case == "names":
             ckpt = _checkpoint(tmp_path / "ckpt", params={"stray": np.zeros(2), **params})
-        elif case != "no-parameterizer":  # an edit of the manifest or its blobs
+        elif case == "meta":
             ckpt = _checkpoint(tmp_path / "ckpt")
-            manifest = json.loads((ckpt / "manifest.json").read_text())
-            if case == "meta":
-                manifest["meta"]["model"]["operator"] = "bogus"
-            elif case == "manifest-empty":
-                manifest = {}
-            elif case == "manifest-list":
-                manifest = [manifest]
-            elif case == "no-meta-model":
-                del manifest["meta"]["model"]
-            elif case == "no-meta-in_dim":
-                del manifest["meta"]["in_dim"]
-            elif case == "null-in_dim":
-                manifest["meta"]["in_dim"] = None
-            elif case == "missing-blob":
-                (ckpt / manifest["tensors"][0]["file"]).unlink()
-            else:
-                manifest["tensors"][0]["file"] = "../x"
-                (tmp_path / "x").write_bytes((ckpt / "param_0000.bin").read_bytes())
-            (ckpt / "manifest.json").write_text(json.dumps(manifest))
+            _edit_meta(ckpt, lambda meta: meta["model"].update(operator="bogus"))
         else:
             ckpt = _checkpoint(tmp_path / "ckpt", ModelConfig(layers=1, K=2, hidden=4,
                                                                 mu=None))
@@ -1079,11 +1142,3 @@ class TestConfigAndCheckpointInputErrors:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"--checkpoint {ckpt}" in err, err
-        detail = {"manifest-empty": "manifest.json: needs a 'tensors' list",
-                  "manifest-list": "manifest.json: not a JSON object",
-                  "no-meta-model": "manifest meta has no model block",
-                  "no-meta-in_dim": "manifest meta in_dim None must be",
-                  "null-in_dim": "manifest meta in_dim None must be",
-                  "missing-blob": "param_0000.bin: no such file, named by",
-                  "blob-outside": "manifest.json: tensors[0] is not"}.get(case, "")
-        assert detail in err, err

@@ -1,7 +1,7 @@
 """Package-wide structure: every public export has a caller inside the package,
 every exception class in ``errors`` is raised by some module, the modules
-import each other at the top only, without a cycle, and ``runner`` converts no
-config value read from a mapping."""
+import each other at the top only, without a cycle, ``runner`` converts no
+config value read from a mapping, and no module can unpickle."""
 import ast
 from pathlib import Path
 
@@ -106,4 +106,24 @@ def test_runner_converts_no_value_read_from_a_mapping():
     found = [f"runner.py:{node.lineno}" for node in ast.walk(tree)
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in ("int", "float") and any(map(_reads_a_mapping, node.args))]
+    assert found == []
+
+
+def test_no_module_can_unpickle():
+    # loading a checkpoint or a CSV must never run code from the file:
+    # no module imports pickle, and every np.load passes allow_pickle=False
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names]
+                names += [node.module] if isinstance(node, ast.ImportFrom) and node.module else []
+                if any(name.split(".")[0] == "pickle" for name in names):
+                    found.append(f"{path.name}:{node.lineno} imports pickle")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "load" and isinstance(node.func.value, ast.Name)
+                  and node.func.value.id == "np"
+                  and not any(kw.arg == "allow_pickle" and isinstance(kw.value, ast.Constant)
+                              and kw.value.value is False for kw in node.keywords)):
+                found.append(f"{path.name}:{node.lineno} np.load without allow_pickle=False")
     assert found == []

@@ -368,6 +368,27 @@ class TestTrainMulti:
         for r1, r2 in zip(serial["per_seed"], parallel["per_seed"]):
             assert r1["test"] == r2["test"]
 
+    def test_pool_starts_its_workers_by_spawn(self, monkeypatch):
+        # a forked worker would inherit the parent's BLAS threads and locks
+        built = {}
+
+        class SerialPool:
+            def __init__(self, max_workers, mp_context):
+                built["start_method"] = mp_context.get_start_method()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        train_multi(tiny_barbell_config(epochs=1), parallel=True)
+        assert built == {"start_method": "spawn"}
+
     @pytest.mark.parametrize("threads", ["0", "abc"])
     def test_bad_thread_count_raises_before_the_pool(self, monkeypatch, threads):
         monkeypatch.setenv("BE_SPECTRAL_THREADS", threads)
